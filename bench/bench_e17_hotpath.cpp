@@ -455,12 +455,43 @@ int main() {
         grid.query_nearest_into({c, 0.0, 160.0 - c}, 25.0, 16, query_out);
         query_hits += query_out.size();
     });
+    // Campus-shaped census: one E22 building (125 classrooms of 100 seats,
+    // 14 m room pitch, 1.2 m seat spacing = 12.5k avatars over ~165 m) in
+    // 8 m cells, queried at the 80 m horizon from classroom centres. Most
+    // candidate cells lie wholly inside the sphere, so this row covers the
+    // whole-cell block copy and the radix-sort scratch as well.
+    sync::InterestGrid building{8.0};
+    std::vector<math::Vec3> room_centres;
+    {
+        constexpr std::uint32_t kRooms = 125, kSeats = 100, kRoomDim = 12, kSeatDim = 10;
+        for (std::uint32_t room = 0; room < kRooms; ++room) {
+            const math::Vec3 centre{(room % kRoomDim) * 14.0, 0.0, (room / kRoomDim) * 14.0};
+            room_centres.push_back(centre + math::Vec3{0.0, 1.6, 0.0});
+            for (std::uint32_t seat = 0; seat < kSeats; ++seat) {
+                building.update(EntityId{room * kSeats + seat},
+                                centre + math::Vec3{(seat % kSeatDim) * 1.2 - 5.4, 0.0,
+                                                    (seat / kSeatDim) * 1.2 - 5.4});
+            }
+        }
+        building.rebuild();
+    }
+    std::uint64_t campus_hits = 0;
+    const Measured campus_query =
+        measure(200, quick ? 2'000 : 20'000, [&](std::size_t i) {
+            building.query_radius_into(room_centres[i % room_centres.size()], 80.0,
+                                       query_out);
+            campus_hits += query_out.size();
+        });
     print_row("query_radius_into (12 m)", radius_query);
     print_row("query_nearest_into (25 m, cap 16)", nearest_query);
-    std::printf("%-34s %14llu hits\n", "",
-                static_cast<unsigned long long>(query_hits));
+    print_row("query_radius_into (campus, 80 m)", campus_query);
+    std::printf("%-34s %14llu hits (campus %llu)\n", "",
+                static_cast<unsigned long long>(query_hits),
+                static_cast<unsigned long long>(campus_hits));
     session.record("E radius_into / queries_per_sec", radius_query.ops_per_sec);
     session.record("E radius_into / allocs_per_query", radius_query.allocs_per_op);
+    session.record("E campus_radius_into / queries_per_sec", campus_query.ops_per_sec);
+    session.record("E campus_radius_into / allocs_per_query", campus_query.allocs_per_op);
     session.record("E nearest_into / queries_per_sec", nearest_query.ops_per_sec);
     session.record("E nearest_into / allocs_per_query", nearest_query.allocs_per_op);
 
@@ -474,6 +505,7 @@ int main() {
                            pooled_large.allocs_per_op <= kAllocBudget &&
                            send_path.allocs_per_op <= kAllocBudget &&
                            radius_query.allocs_per_op <= kAllocBudget &&
+                           campus_query.allocs_per_op <= kAllocBudget &&
                            nearest_query.allocs_per_op <= kAllocBudget;
     const bool reduction_ok =
         legacy_small.allocs_per_op >= 5.0 * std::max(pooled_small.allocs_per_op, floor) &&

@@ -85,10 +85,9 @@ void AvatarPool::clear_dirty() {
 
 namespace {
 template <class T>
-void put(std::vector<std::uint8_t>& out, T v) {
-    const auto old = out.size();
-    out.resize(old + sizeof(T));
-    std::memcpy(out.data() + old, &v, sizeof(T));
+void put(std::uint8_t*& p, T v) {
+    std::memcpy(p, &v, sizeof(T));
+    p += sizeof(T);
 }
 template <class T>
 T get(const std::uint8_t*& p) {
@@ -101,17 +100,20 @@ T get(const std::uint8_t*& p) {
 
 void AvatarPool::encode_record(std::uint32_t index,
                                std::vector<std::uint8_t>& out) const {
-    put<std::uint32_t>(out, ids_[index].value());
-    put<std::uint32_t>(out, seqs_[index]);
-    put<std::uint8_t>(out, lods_[index]);
+    const std::size_t old = out.size();
+    out.resize(old + kRecordBytes);
+    std::uint8_t* at = out.data() + old;
+    put<std::uint32_t>(at, ids_[index].value());
+    put<std::uint32_t>(at, seqs_[index]);
+    put<std::uint8_t>(at, lods_[index]);
     const math::Vec3& p = positions_[index];
-    put<float>(out, static_cast<float>(p.x));
-    put<float>(out, static_cast<float>(p.y));
-    put<float>(out, static_cast<float>(p.z));
+    put<float>(at, static_cast<float>(p.x));
+    put<float>(at, static_cast<float>(p.y));
+    put<float>(at, static_cast<float>(p.z));
     const math::Vec3& v = velocities_[index];
-    put<float>(out, static_cast<float>(v.x));
-    put<float>(out, static_cast<float>(v.y));
-    put<float>(out, static_cast<float>(v.z));
+    put<float>(at, static_cast<float>(v.x));
+    put<float>(at, static_cast<float>(v.y));
+    put<float>(at, static_cast<float>(v.z));
 }
 
 AvatarPool::Record AvatarPool::decode_record(const std::uint8_t* data) {

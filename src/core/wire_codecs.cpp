@@ -20,6 +20,12 @@ using net::wiredata::put;
 using net::wiredata::put_bytes;
 using net::wiredata::Reader;
 
+/// Smallest encodings of the list elements below, for Reader::count:
+/// an AvatarWire with empty bytes and relay list, and a ResyncEntry with
+/// empty bytes.
+constexpr std::size_t kMinAvatarBytes = 4 + 4 + 1 + 4 + 8 + 4 + 4;
+constexpr std::size_t kMinResyncEntryBytes = 4 + 4 + 8 + 4;
+
 void put_avatar(std::vector<std::byte>& out, const sync::AvatarWire& w) {
     put<std::uint32_t>(out, w.participant.value());
     put<std::uint32_t>(out, w.source_room.value());
@@ -39,8 +45,8 @@ sync::AvatarWire get_avatar(Reader& r) {
     w.seq = r.get<std::uint32_t>();
     w.captured_at = sim::Time::ns(r.get<std::int64_t>());
     w.bytes = r.get_bytes();
-    const auto relays = r.get<std::uint32_t>();
-    w.relay_to.reserve(r.ok ? relays : 0);
+    const auto relays = r.count(sizeof(std::uint32_t));
+    w.relay_to.reserve(relays);
     for (std::uint32_t i = 0; r.ok && i < relays; ++i)
         w.relay_to.push_back(r.get<std::uint32_t>());
     return w;
@@ -79,8 +85,8 @@ void register_wire_codecs() {
         },
         whole_body<sync::AvatarBatchWire>([](Reader& r) {
             sync::AvatarBatchWire batch;
-            const auto count = r.get<std::uint32_t>();
-            batch.updates.reserve(r.ok ? count : 0);
+            const auto count = r.count(kMinAvatarBytes);
+            batch.updates.reserve(count);
             for (std::uint32_t i = 0; r.ok && i < count; ++i)
                 batch.updates.push_back(get_avatar(r));
             return batch;
@@ -130,8 +136,8 @@ void register_wire_codecs() {
             recovery::ResyncSnapshot snap;
             snap.nonce = r.get<std::uint64_t>();
             snap.served_at = sim::Time::ns(r.get<std::int64_t>());
-            const auto count = r.get<std::uint32_t>();
-            snap.entries.reserve(r.ok ? count : 0);
+            const auto count = r.count(kMinResyncEntryBytes);
+            snap.entries.reserve(count);
             for (std::uint32_t i = 0; r.ok && i < count; ++i) {
                 recovery::ResyncEntry e;
                 e.participant = ParticipantId{r.get<std::uint32_t>()};

@@ -100,6 +100,19 @@ struct Reader {
         return s;
     }
 
+    /// Element count for a list whose elements encode to at least
+    /// `min_bytes` each. A count the rest of the buffer cannot hold latches
+    /// `ok` false and reads as 0, so no decoder reserves storage for a
+    /// forged count (one 60-byte datagram could otherwise ask for gigabytes).
+    std::uint32_t count(std::size_t min_bytes) {
+        const auto n = get<std::uint32_t>();
+        if (!ok || n > (buf.size() - pos) / min_bytes) {
+            ok = false;
+            return 0;
+        }
+        return n;
+    }
+
     std::vector<std::uint8_t> get_bytes() {
         const auto n = get<std::uint32_t>();
         const auto s = bytes(n);

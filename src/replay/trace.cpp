@@ -26,6 +26,9 @@ void encode_avatar(std::vector<std::uint8_t>& out, const AvatarUpdate& u) {
     detail::put_bytes(out, u.bytes);
 }
 
+/// Smallest encoded avatar: four one-byte varints and the keyframe byte.
+constexpr std::size_t kMinAvatarBytes = 5;
+
 AvatarUpdate decode_avatar(detail::Reader& r) {
     AvatarUpdate u;
     u.participant = r.varint32();
@@ -72,6 +75,10 @@ Record decode_record(detail::Reader& r) {
             const std::uint8_t flags = r.u8();
             if ((flags & kWireHasAvatars) != 0) {
                 const std::size_t n = r.varint();
+                // Each avatar takes at least kMinAvatarBytes; a larger count
+                // is corrupt and must not size the reserve.
+                if (n > r.remaining() / kMinAvatarBytes)
+                    throw TraceError("trace: avatar count exceeds record");
                 w.avatars.reserve(n);
                 for (std::size_t i = 0; i < n; ++i) w.avatars.push_back(decode_avatar(r));
             }

@@ -88,7 +88,9 @@ void CellDeltaAggregator::enqueue(const math::Vec3& position, AvatarWire wire) {
         static_cast<std::int32_t>(std::floor(position.x / cell_size_)),
         static_cast<std::int32_t>(std::floor(position.y / cell_size_)),
         static_cast<std::int32_t>(std::floor(position.z / cell_size_))};
-    pending_.push_back(PendingDelta{cell, std::move(wire)});
+    keys_.push_back(DeltaKey{cell, wire.participant, wire.seq,
+                             static_cast<std::uint32_t>(pending_.size())});
+    pending_.push_back(std::move(wire));
     ++updates_enqueued_;
     if (armed_) return;
     armed_ = true;
@@ -116,24 +118,24 @@ void CellDeltaAggregator::flush() {
             }
         }
     }
-    std::sort(pending_.begin(), pending_.end(),
-              [](const PendingDelta& a, const PendingDelta& b) {
-                  if (a.cell != b.cell) return a.cell < b.cell;
-                  if (a.wire.participant != b.wire.participant)
-                      return a.wire.participant < b.wire.participant;
-                  return a.wire.seq < b.wire.seq;
-              });
+    std::sort(keys_.begin(), keys_.end(), [](const DeltaKey& a, const DeltaKey& b) {
+        if (a.cell != b.cell) return a.cell < b.cell;
+        if (a.participant != b.participant) return a.participant < b.participant;
+        return a.seq < b.seq;
+    });
     std::size_t i = 0;
-    while (i < pending_.size()) {
-        const InterestGrid::Cell cell = pending_[i].cell;
+    while (i < keys_.size()) {
+        const InterestGrid::Cell cell = keys_[i].cell;
         std::size_t j = i + 1;
-        while (j < pending_.size() && pending_[j].cell == cell) ++j;
+        while (j < keys_.size() && keys_[j].cell == cell) ++j;
         ++cells_flushed_;
         const std::uint64_t run = j - i;
         const math::Vec3 lo{cell.x * cell_size_, cell.y * cell_size_,
                             cell.z * cell_size_};
         const math::Vec3 hi{lo.x + cell_size_, lo.y + cell_size_, lo.z + cell_size_};
-        for (ViewerState& v : viewers_) {
+        receivers_.clear();
+        for (std::uint32_t vi = 0; vi < viewers_.size(); ++vi) {
+            ViewerState& v = viewers_[vi];
             // Distance from the viewer to the nearest point of the cell's
             // AABB: conservative, so a cell is never dropped for a viewer
             // one of its entities is actually in range of.
@@ -174,11 +176,25 @@ void CellDeltaAggregator::flush() {
                 continue;
             }
             shipped[ti] = 1;
-            for (std::size_t k = i; k < j; ++k) {
-                if (pending_[k].wire.participant == v.self) continue;
-                batcher_.enqueue(v.node, pending_[k].wire);
+            receivers_.push_back(vi);
+        }
+        for (std::size_t k = i; k < j; ++k) {
+            const DeltaKey& key = keys_[k];
+            // The last admitted viewer that is not the delta's own sender
+            // takes the wire by move; every earlier one gets a copy.
+            std::size_t last = receivers_.size();
+            while (last > 0 && viewers_[receivers_[last - 1]].self == key.participant)
+                --last;
+            if (last == 0) continue;
+            AvatarWire& wire = pending_[key.index];
+            for (std::size_t r = 0; r + 1 < last; ++r) {
+                const ViewerState& v = viewers_[receivers_[r]];
+                if (v.self == key.participant) continue;
+                batcher_.enqueue(v.node, wire);
                 ++updates_shipped_;
             }
+            batcher_.enqueue(viewers_[receivers_[last - 1]].node, std::move(wire));
+            ++updates_shipped_;
         }
         i = j;
     }
@@ -197,6 +213,7 @@ void CellDeltaAggregator::flush() {
         }
     }
     pending_.clear();
+    keys_.clear();
     batcher_.flush();
 }
 

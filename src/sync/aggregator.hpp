@@ -9,10 +9,19 @@
 // per-entity to per-tier. Shipped batches ride the existing WireBatcher, so
 // every destination still receives one coalesced AvatarBatchWire per flush.
 //
+// Flush cost: the sort orders compact {cell, participant, seq, index} keys,
+// not the pending wires themselves. Per cell, the admitted viewers are
+// decided once; each delta then walks those viewers, copied into every
+// receiving batch but the last, which takes the wire by move — so a delta
+// with one receiver is never copied. The self-echo skip applies before the
+// last receiver is picked.
+//
 // Determinism: pending deltas are sorted by (cell, participant, seq),
 // viewers are kept sorted by node id, and the batcher flushes destinations
 // in NodeId order — aggregated egress is byte-identical for any thread
-// count, same as the rest of the sharded engine.
+// count, same as the rest of the sharded engine. Each destination's batch
+// holds its updates in (cell, participant, seq) order whichever loop nests
+// outside.
 
 #include <cstdint>
 #include <vector>
@@ -74,9 +83,12 @@ public:
     [[nodiscard]] std::uint64_t suppressed_by_budget() const { return suppressed_budget_; }
 
 private:
-    struct PendingDelta {
+    /// Sort key of one pending delta; `index` is its slot in `pending_`.
+    struct DeltaKey {
         InterestGrid::Cell cell;
-        AvatarWire wire;
+        ParticipantId participant;
+        std::uint32_t seq;
+        std::uint32_t index;
     };
     struct ViewerState {
         net::NodeId node{net::kInvalidNode};
@@ -106,7 +118,9 @@ private:
     sim::Time interval_;
     WireBatcher batcher_;
     std::vector<ViewerState> viewers_;  // sorted by node id
-    std::vector<PendingDelta> pending_;
+    std::vector<AvatarWire> pending_;
+    std::vector<DeltaKey> keys_;
+    std::vector<std::uint32_t> receivers_;  // flush scratch: one cell's admitted viewers
     bool armed_{false};
     std::uint64_t updates_enqueued_{0};
     std::uint64_t updates_shipped_{0};

@@ -1,6 +1,7 @@
 #include "sync/interest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -98,6 +99,8 @@ void InterestGrid::ensure_built() const {
         pending_.clear();
         ++incremental_rebuilds_;
     }
+    sorted_ids_.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) sorted_ids_[i] = ids_[order_[i]];
     buckets_.clear();
     for (std::uint32_t i = 0; i < n;) {
         const Cell cell = cells_[order_[i]];
@@ -108,25 +111,68 @@ void InterestGrid::ensure_built() const {
     }
 }
 
+namespace {
+
+/// Squared distances from one centre coordinate to the nearest and the
+/// farthest point of a (padded) cell's extent along one axis.
+struct AxisReach {
+    double near2, far2;
+};
+
+AxisReach axis_reach(std::int32_t cell, double cell_size, double pad, double p) {
+    const double lo = cell * cell_size - pad;
+    const double hi = (static_cast<double>(cell) + 1.0) * cell_size + pad;
+    const double near = std::max({lo - p, 0.0, p - hi});
+    const double far = std::max(p - lo, hi - p);
+    return {near * near, far * far};
+}
+
+}  // namespace
+
 void InterestGrid::query_radius_into(const math::Vec3& center, double radius,
                                      std::vector<EntityId>& out) const {
     ensure_built();
     out.clear();
     const double r2 = radius * radius;
-    const Cell lo = cell_for(center - math::Vec3{radius, radius, radius});
-    const Cell hi = cell_for(center + math::Vec3{radius, radius, radius});
+    // Cell boxes are padded by a margin far above the rounding of both
+    // cell_for's floor(p / cell_size) (an entity may sit an ulp outside
+    // its cell's exact box) and the squared-distance comparisons, so the
+    // whole-cell skip and block-copy decisions never disagree with the
+    // per-entity test.
+    const double pad =
+        1e-9 * (cell_size_ + std::abs(radius) +
+                std::max({std::abs(center.x), std::abs(center.y), std::abs(center.z)}));
+    const double reach = radius + pad;
+    const Cell lo = cell_for(center - math::Vec3{reach, reach, reach});
+    const Cell hi = cell_for(center + math::Vec3{reach, reach, reach});
     // Candidate cells are visited in ascending (x,y,z) order — the same
     // order buckets_ is sorted in — so one monotone cursor serves every
-    // lower_bound instead of restarting the binary search from scratch.
+    // lower_bound instead of restarting the binary search from scratch. An
+    // (x, y) row without buckets costs one comparison.
     auto cursor = buckets_.begin();
-    for (std::int32_t x = lo.x; x <= hi.x; ++x) {
-        for (std::int32_t y = lo.y; y <= hi.y; ++y) {
-            cursor = std::lower_bound(
-                cursor, buckets_.end(), Cell{x, y, lo.z},
-                [](const Bucket& b, const Cell& c) { return b.cell < c; });
+    for (std::int32_t x = lo.x; x <= hi.x && cursor != buckets_.end(); ++x) {
+        for (std::int32_t y = lo.y; y <= hi.y && cursor != buckets_.end(); ++y) {
+            const Cell first{x, y, lo.z};
+            if (cursor->cell < first) {
+                cursor = std::lower_bound(
+                    cursor + 1, buckets_.end(), first,
+                    [](const Bucket& b, const Cell& c) { return b.cell < c; });
+            }
+            if (cursor == buckets_.end() || cursor->cell.x != x || cursor->cell.y != y)
+                continue;
+            const AxisReach ax = axis_reach(x, cell_size_, pad, center.x);
+            const AxisReach ay = axis_reach(y, cell_size_, pad, center.y);
+            if (ax.near2 + ay.near2 > r2) continue;
             for (; cursor != buckets_.end() && cursor->cell.x == x &&
                    cursor->cell.y == y && cursor->cell.z <= hi.z;
                  ++cursor) {
+                const AxisReach az = axis_reach(cursor->cell.z, cell_size_, pad, center.z);
+                if (ax.near2 + ay.near2 + az.near2 > r2) continue;
+                if (ax.far2 + ay.far2 + az.far2 <= r2) {
+                    out.insert(out.end(), sorted_ids_.begin() + cursor->begin,
+                               sorted_ids_.begin() + cursor->end);
+                    continue;
+                }
                 for (std::uint32_t i = cursor->begin; i < cursor->end; ++i) {
                     const std::uint32_t d = order_[i];
                     if ((positions_[d] - center).norm_sq() <= r2) out.push_back(ids_[d]);
@@ -134,7 +180,41 @@ void InterestGrid::query_radius_into(const math::Vec3& center, double radius,
             }
         }
     }
-    std::sort(out.begin(), out.end());
+    sort_ids(out);
+}
+
+void InterestGrid::sort_ids(std::vector<EntityId>& ids) const {
+    const std::size_t n = ids.size();
+    if (n < kRadixCutoff) {
+        std::sort(ids.begin(), ids.end());
+        return;
+    }
+    // LSD radix over the id bytes that differ somewhere in the result: a
+    // byte constant across it is already "sorted" and is skipped (it would
+    // also make every histogram increment hit one counter, serialising the
+    // counting pass on a store-to-load dependency).
+    const std::uint32_t first = ids.front().value();
+    std::uint32_t varying = 0;
+    for (const EntityId id : ids) varying |= id.value() ^ first;
+    radix_scratch_.resize(n);
+    EntityId* src = ids.data();
+    EntityId* dst = radix_scratch_.data();
+    std::array<std::uint32_t, 256> count;
+    for (unsigned shift = 0; shift < 32; shift += 8) {
+        if (((varying >> shift) & 0xFFu) == 0) continue;
+        count.fill(0);
+        for (std::size_t i = 0; i < n; ++i) ++count[(src[i].value() >> shift) & 0xFFu];
+        std::uint32_t offset = 0;
+        for (std::uint32_t& c : count) {
+            const std::uint32_t here = c;
+            c = offset;
+            offset += here;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            dst[count[(src[i].value() >> shift) & 0xFFu]++] = src[i];
+        std::swap(src, dst);
+    }
+    if (src != ids.data()) std::copy(src, src + n, ids.data());
 }
 
 void InterestGrid::query_nearest_into(const math::Vec3& center, double radius,

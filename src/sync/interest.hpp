@@ -13,6 +13,17 @@
 // so a tick that moves a few percent of entities never pays a full
 // re-sort. Queries binary-search the bucket directory and write into
 // caller-provided buffers: zero allocations in steady state (E17 budget).
+//
+// Radius queries classify each candidate cell against the sphere before
+// touching its entities: a cell wholly outside is skipped, a cell wholly
+// inside appends its ids in one block copy from `sorted_ids_` (ids laid out
+// in `order_` order), and only cells straddling the radius run the
+// per-entity distance test. Cell boxes are padded by a small margin so the
+// classification stays conservative under `cell_for`'s floor rounding: the
+// result always equals the exact per-entity scan. The hits are then put in
+// id order by an LSD byte radix sort that skips bytes constant across the
+// result; below kRadixCutoff ids (the few-entry viewer grids of
+// cloud::InterestFanout) std::sort is cheaper and is used instead.
 
 #include <compare>
 #include <cstdint>
@@ -36,7 +47,8 @@ public:
 
     /// All entities within `radius` of `center` (exact distance check after
     /// the grid pre-filter), sorted by id for determinism, written into
-    /// `out` (cleared first). Allocation-free once `out` has capacity.
+    /// `out` (cleared first). Allocation-free once `out` and the internal
+    /// radix scratch have grown to the largest result.
     void query_radius_into(const math::Vec3& center, double radius,
                            std::vector<EntityId>& out) const;
 
@@ -95,6 +107,10 @@ public:
     [[nodiscard]] Cell cell_for(const math::Vec3& p) const;
     [[nodiscard]] double cell_size() const { return cell_size_; }
 
+    /// Radius-query results smaller than this are sorted with std::sort,
+    /// larger ones with the id radix sort.
+    static constexpr std::size_t kRadixCutoff = 64;
+
 private:
     /// Contiguous run of `order_` holding one cell's entities (id-sorted).
     struct Bucket {
@@ -114,16 +130,19 @@ private:
     // lists indices whose cell changed since the last build (`moved_` flags
     // dedupe it); a remove swaps dense slots, so it forces a full re-sort.
     mutable std::vector<std::uint32_t> order_;
+    mutable std::vector<EntityId> sorted_ids_;  // ids_[order_[i]]
     mutable std::vector<Bucket> buckets_;
     mutable std::vector<std::uint32_t> pending_;
     mutable std::vector<std::uint8_t> moved_;
     mutable std::vector<std::uint32_t> survivors_;  // merge scratch
     mutable std::vector<std::pair<double, EntityId>> nearest_scratch_;
+    mutable std::vector<EntityId> radix_scratch_;
     mutable bool structural_{false};
     mutable std::uint64_t full_rebuilds_{0};
     mutable std::uint64_t incremental_rebuilds_{0};
 
     void ensure_built() const;
+    void sort_ids(std::vector<EntityId>& ids) const;
     [[nodiscard]] bool order_before(std::uint32_t a, std::uint32_t b) const {
         if (cells_[a] != cells_[b]) return cells_[a] < cells_[b];
         return ids_[a] < ids_[b];

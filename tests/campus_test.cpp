@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -167,6 +170,118 @@ TEST(FlatGridTest, RemoveAfterCommitForcesConsistentFullRebuild) {
     EXPECT_EQ(out[0], EntityId{24});
 }
 
+/// Reference answer for query_radius_into: every entity's exact distance
+/// test, no grid, ids sorted.
+std::vector<EntityId> brute_force_radius(const std::vector<EntityId>& ids,
+                                         const std::vector<math::Vec3>& points,
+                                         const math::Vec3& center, double radius) {
+    std::vector<EntityId> out;
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        if ((points[i] - center).norm_sq() <= radius * radius) out.push_back(ids[i]);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(FlatGridTest, RadiusQueryMatchesBruteForceScan) {
+    // Cell sizes include 0.1, where floor(p / cell_size) disagrees with the
+    // decimal cell borders; coordinates are multiples of a quarter cell, so
+    // many points, centres and radii sit exactly on cell borders.
+    std::size_t below_cutoff = 0;
+    std::size_t above_cutoff = 0;
+    bool all_bytes_vary = false;
+    for (const double cell : {8.0, 3.0, 0.1}) {
+        std::uint64_t state = 0x5EEDull + static_cast<std::uint64_t>(cell * 10.0);
+        const auto next = [&state](std::uint64_t bound) {
+            state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+            return (state >> 33) % bound;
+        };
+        // Quarter-cell lattice over [-20, 20) cells on x/z, [-2, 2) on y.
+        const auto coord = [&](std::int64_t cells) {
+            return static_cast<double>(static_cast<std::int64_t>(next(8 * cells)) -
+                                       4 * cells) *
+                   cell / 4.0;
+        };
+        sync::InterestGrid grid{cell};
+        std::vector<EntityId> ids;
+        std::vector<math::Vec3> points;
+        for (std::uint32_t i = 1; i <= 3000; ++i) {
+            // An odd multiplier permutes uint32, so ids stay unique and vary
+            // in all four bytes: no radix pass can be skipped.
+            ids.push_back(EntityId{i * 0x9E3779B1u});
+            points.push_back({coord(20), coord(2), coord(20)});
+            grid.update(ids.back(), points.back());
+        }
+        std::vector<EntityId> out;
+        const auto check_queries = [&](const char* phase) {
+            std::vector<math::Vec3> centers{{0, 0, 0}, {cell, 0, -cell}, points[7]};
+            for (int c = 0; c < 5; ++c) centers.push_back({coord(20), coord(2), coord(20)});
+            for (const math::Vec3& center : centers) {
+                for (const double radius : {0.0, 0.3 * cell, cell, 2.0 * cell, 2.5 * cell,
+                                            5.0 * cell, 12.0 * cell}) {
+                    grid.query_radius_into(center, radius, out);
+                    const auto expected = brute_force_radius(ids, points, center, radius);
+                    ASSERT_EQ(out, expected)
+                        << phase << ": cell " << cell << " radius " << radius
+                        << " centre (" << center.x << ", " << center.y << ", "
+                        << center.z << ")";
+                    (out.size() < sync::InterestGrid::kRadixCutoff ? below_cutoff
+                                                                   : above_cutoff) += 1;
+                    if (out.size() >= sync::InterestGrid::kRadixCutoff) {
+                        bool varies = true;
+                        for (unsigned shift = 0; shift < 32; shift += 8) {
+                            const auto byte = [shift](EntityId id) {
+                                return (id.value() >> shift) & 0xFFu;
+                            };
+                            varies = varies && std::any_of(out.begin(), out.end(),
+                                                           [&](EntityId id) {
+                                                               return byte(id) != byte(out[0]);
+                                                           });
+                        }
+                        all_bytes_vary = all_bytes_vary || varies;
+                    }
+                }
+            }
+        };
+        check_queries("initial");
+        // Move a tenth of the points (incremental rebuild refreshes the
+        // block-copy id array), then remove some (full rebuild).
+        for (std::size_t i = 0; i < points.size(); i += 10) {
+            points[i] = {coord(20), coord(2), coord(20)};
+            grid.update(ids[i], points[i]);
+        }
+        check_queries("after moves");
+        for (std::size_t i = points.size(); i-- > 0;) {
+            if (i % 7 != 3) continue;
+            grid.remove(ids[i]);
+            ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(i));
+            points.erase(points.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        check_queries("after removes");
+    }
+    EXPECT_GT(below_cutoff, 0u);
+    EXPECT_GT(above_cutoff, 0u);
+    EXPECT_TRUE(all_bytes_vary);
+}
+
+TEST(FlatGridTest, RadiusQueryKeepsEntitiesFloorRoundsIntoACell) {
+    // One ulp below -15.0, yet floor(x / 0.1) files the point under cell
+    // -150, whose exact box starts at -15.0. Seen from x = -17 at exactly
+    // the point's distance, the unpadded box lies beyond the radius; the
+    // query must still return the point, as the exact scan does.
+    sync::InterestGrid grid{0.1};
+    const double px = std::nextafter(-15.0, -16.0);
+    ASSERT_EQ(grid.cell_for({px, 0.0, 0.0}).x, -150);
+    const std::vector<EntityId> ids{EntityId{1}, EntityId{2}};
+    const std::vector<math::Vec3> points{{px, 0.05, 0.05}, {-14.95, 0.05, 0.05}};
+    for (std::size_t i = 0; i < ids.size(); ++i) grid.update(ids[i], points[i]);
+    const math::Vec3 center{-17.0, 0.05, 0.05};
+    const double radius = px - center.x;
+    std::vector<EntityId> out;
+    grid.query_radius_into(center, radius, out);
+    EXPECT_EQ(out, brute_force_radius(ids, points, center, radius));
+    EXPECT_EQ(out, std::vector<EntityId>{EntityId{1}});
+}
+
 // --------------------------------------------------- CellDeltaAggregator
 
 class AggregatorTest : public ::testing::Test {
@@ -312,6 +427,64 @@ TEST_F(AggregatorTest, ViewerOnCellCornerGetsNearestTier) {
     EXPECT_EQ(got, 1u);
     EXPECT_EQ(agg.updates_shipped(), 1u);
     EXPECT_EQ(agg.suppressed_by_aoi(), 0u);
+}
+
+/// One update as a viewer decoded it.
+struct Got {
+    std::uint32_t participant;
+    std::uint32_t seq;
+    std::vector<std::uint8_t> bytes;
+    friend bool operator==(const Got&, const Got&) = default;
+};
+
+TEST_F(AggregatorTest, OwnAvatarOfLastViewerGoesToTheEarlierViewersIntact) {
+    // Three viewers in one cell, in node order near_ < far_ < last. The last
+    // admitted viewer owns participant 7, so 7's delta must be moved into
+    // far_'s batch (its last real receiver) and not echoed to `last`.
+    const net::NodeId last = net_.add_node("last", net::Region::HongKong);
+    net_.connect(src_, last, net::LinkParams{.latency = sim::Time::ms(1)});
+    sync::CellDeltaAggregator agg{net_, src_, sim::Time::ms(10), 8.0};
+    agg.add_viewer(near_, ParticipantId{100}, {2, 0, 2});
+    agg.add_viewer(far_, ParticipantId{200}, {3, 0, 3});
+    agg.add_viewer(last, ParticipantId{7}, {4, 0, 4});
+
+    std::map<net::NodeId, std::vector<Got>> got;
+    std::vector<std::unique_ptr<net::PacketDemux>> demuxes;
+    for (const net::NodeId node : {near_, far_, last}) {
+        demuxes.push_back(std::make_unique<net::PacketDemux>(net_, node));
+        demuxes.back()->on_flow(std::string{sync::kAvatarBatchFlow},
+                                [&got, node](net::Packet&& p) {
+                                    for (const sync::AvatarWire& w :
+                                         p.payload.take<sync::AvatarBatchWire>().updates)
+                                        got[node].push_back(
+                                            {w.participant.value(), w.seq, w.bytes});
+                                });
+    }
+
+    // Distinct payloads per (participant, seq); enqueued out of order to
+    // exercise the (participant, seq) key sort.
+    const auto make = [this](std::uint32_t participant, std::uint32_t seq) {
+        sync::AvatarWire w = wire(participant, seq);
+        w.bytes.assign(16, static_cast<std::uint8_t>(participant * 16 + seq));
+        return w;
+    };
+    agg.enqueue({1, 0, 1}, make(9, 1));
+    agg.enqueue({1, 0, 1}, make(7, 2));
+    agg.enqueue({1, 0, 1}, make(5, 1));
+    agg.enqueue({1, 0, 1}, make(7, 1));
+    sim_.run_until(sim::Time::ms(50));
+
+    const auto expect = [](std::uint32_t participant, std::uint32_t seq) {
+        return Got{participant, seq,
+                   std::vector<std::uint8_t>(
+                       16, static_cast<std::uint8_t>(participant * 16 + seq))};
+    };
+    const std::vector<Got> everyone{expect(5, 1), expect(7, 1), expect(7, 2), expect(9, 1)};
+    EXPECT_EQ(got[near_], everyone);
+    EXPECT_EQ(got[far_], everyone);  // holds the moved wires of participant 7
+    EXPECT_EQ(got[last], (std::vector<Got>{expect(5, 1), expect(9, 1)}));
+    EXPECT_EQ(agg.updates_shipped(), 10u);
+    EXPECT_EQ(agg.batcher().updates_batched(), 10u);
 }
 
 // ------------------------------------------------------------ CampusWorld

@@ -22,6 +22,7 @@
 #include "net/real_udp.hpp"
 #include "net/transport.hpp"
 #include "net/wire_format.hpp"
+#include "recovery/resync.hpp"
 #include "sim/wall_clock.hpp"
 #include "sync/wire.hpp"
 
@@ -228,6 +229,51 @@ TEST_F(WireFormatTest, TrailingGarbageIsRejected) {
     EXPECT_FALSE(decode_frame(*frame).has_value());
 }
 
+/// A well-formed frame (flow "avatar", valid CRC) whose payload body holds
+/// the u32 list count at `count_at` rewritten to `count` — what a hostile
+/// sender can produce, since the CRC only guards against accidents.
+std::vector<std::byte> forge_list_count(Payload payload, std::size_t count_at,
+                                        std::uint32_t count) {
+    auto frame = encode_frame(make_packet(std::move(payload), "avatar"), Priority::Realtime);
+    EXPECT_TRUE(frame.has_value());
+    // Fixed header (40 B) + flow length (2) + "avatar" (6) + body length (4).
+    const std::size_t body = 52;
+    for (std::size_t i = 0; i < 4; ++i)
+        (*frame)[body + count_at + i] = static_cast<std::byte>((count >> (8 * i)) & 0xFFu);
+    const std::size_t crc_at = frame->size() - 4;
+    const std::uint32_t crc = crc32(std::span{*frame}.first(crc_at));
+    for (std::size_t i = 0; i < 4; ++i)
+        (*frame)[crc_at + i] = static_cast<std::byte>((crc >> (8 * i)) & 0xFFu);
+    return *frame;
+}
+
+TEST_F(WireFormatTest, ForgedListCountsAreTypedRejectionsNotAllocations) {
+    // The 60-byte datagram: an empty AvatarBatchWire whose update count
+    // claims 0x0fffffff entries. Before the count was bounded by the bytes
+    // left, the decoder's reserve threw std::bad_alloc.
+    const auto batch = forge_list_count(Payload{sync::AvatarBatchWire{}}, 0, 0x0fffffffu);
+    EXPECT_EQ(batch.size(), 60u);
+    // A snapshot's entry count follows nonce (8) and served_at (8); an
+    // AvatarWire's relay count follows its 21 fixed bytes and the 4-byte
+    // length of its empty byte block.
+    const auto snapshot =
+        forge_list_count(Payload{recovery::ResyncSnapshot{}}, 16, 0x0fffffffu);
+    const auto relays = forge_list_count(Payload{sync::AvatarWire{}}, 25, 0xffffffffu);
+    for (const auto& frame : {batch, snapshot, relays}) {
+        FrameDefect defect = FrameDefect::None;
+        EXPECT_FALSE(decode_frame(frame, defect).has_value());
+        EXPECT_EQ(defect, FrameDefect::BadPayload);
+    }
+    // A count that fits the remaining bytes still decodes.
+    sync::AvatarBatchWire one;
+    one.updates.push_back(sync::AvatarWire{});
+    const auto ok_frame = encode_frame(make_packet(Payload{one}), Priority::Realtime);
+    ASSERT_TRUE(ok_frame.has_value());
+    const auto decoded = decode_frame(*ok_frame);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->packet.payload.get<sync::AvatarBatchWire>().updates.size(), 1u);
+}
+
 TEST_F(WireFormatTest, TagCollisionsThrowAndReRegistrationIsIdempotent) {
     core::register_wire_codecs();  // second call: idempotent
     struct Foreign {
@@ -325,6 +371,27 @@ TEST_F(RealUdpTest, CorruptAndForeignDatagramsAreCountedAndDropped) {
     ASSERT_TRUE(pump_until(net, [&] { return net.decode_errors() >= 3 && delivered >= 1; }));
     EXPECT_EQ(delivered, 1);
     EXPECT_EQ(net.metrics().counter("net.wire_decode_error"), 3u);
+}
+
+TEST_F(RealUdpTest, ForgedBatchCountIsRejectedAndTheLoopKeepsRunning) {
+    RealUdpBackend net;
+    const NodeId a = net.add_node("a", Region::HongKong);
+    const NodeId b = net.add_node("b", Region::HongKong);
+    int delivered = 0;
+    net.set_handler(b, [&](Packet&&) { ++delivered; });
+
+    send_raw(net.port_of(b),
+             forge_list_count(Payload{sync::AvatarBatchWire{}}, 0, 0x0fffffffu));
+    ASSERT_TRUE(pump_until(net, [&] { return net.decode_errors() >= 1; }));
+    EXPECT_EQ(net.ingress_rejected(FrameDefect::BadPayload), 1u);
+    EXPECT_EQ(net.metrics().counter("net.ingress_rejected", {{"reason", "bad_payload"}}),
+              1u);
+
+    // The poll loop survived: a legitimate send still gets through.
+    ASSERT_TRUE(net.send(a, b, 8, "good", Payload{std::uint64_t{1}}));
+    ASSERT_TRUE(pump_until(net, [&] { return delivered >= 1; }));
+    EXPECT_EQ(delivered, 1);
+    EXPECT_EQ(net.decode_errors(), 1u);
 }
 
 TEST_F(RealUdpTest, IngressDropHookCountsAndSuppressesDelivery) {

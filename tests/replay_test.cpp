@@ -246,6 +246,27 @@ TEST(TraceCorruptionTest, EverySingleBitFlipDetected) {
     }
 }
 
+TEST(TraceCorruptionTest, ForgedAvatarCountIsReportedNotAllocated) {
+    // A Wire record behind a valid chunk CRC whose avatar count varint
+    // claims 0x0fffffff entries with no bytes left: the decoder must refuse
+    // the count before sizing a reserve by it.
+    const std::vector<std::uint8_t> record{
+        static_cast<std::uint8_t>(RecordKind::Wire),
+        0, 0, 1, 1, 2, 64,        // t, shard, flow, src, dst, size (varints)
+        0, 0x01,                  // priority, flags: has avatars
+        0xFF, 0xFF, 0xFF, 0x7F};  // avatar count 0x0fffffff
+    MemorySink sink;
+    TraceWriter writer{sink, 11, "forged", 0, TraceWriterOptions{}};
+    writer.append(record, 1, 0, false);
+    writer.finish();
+    const std::vector<std::uint8_t> bytes = sink.take();
+    const TraceCheck check = Trace::verify(bytes);
+    EXPECT_FALSE(check.ok);
+    EXPECT_NE(check.error.find("avatar count exceeds record"), std::string::npos)
+        << check.error;
+    EXPECT_THROW((void)Trace::parse(bytes), TraceError);
+}
+
 TEST(TraceCorruptionTest, TruncateTraceKeepsReplayablePrefix) {
     const std::vector<std::uint8_t> bytes = small_trace();
     const Trace full = Trace::parse(bytes);
