@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
-#include "avatar/serialize.hpp"
+#include "common/bytes.hpp"
 
 namespace mvc::avatar {
 
@@ -15,7 +14,20 @@ namespace {
 // the remaining three over [-1/sqrt2, 1/sqrt2].
 constexpr double kQuatComponentRange = 0.70710678118654752440;
 
-void write_quat(ByteWriter& w, const math::Quat& q_in) {
+using Writer = bytes::Writer<std::uint8_t>;
+using bytes::Reader;
+
+// Encoded sizes: a quantized vector, a smallest-three quaternion, a body
+// joint (offset + orientation), a full snapshot and the largest delta.
+constexpr std::size_t kVecBytes = 3 * 2;
+constexpr std::size_t kQuatBytes = 1 + 3 * 2;
+constexpr std::size_t kJointBytes = kVecBytes + kQuatBytes;
+constexpr std::size_t kFullBytes =
+    4 + 8 + kVecBytes + kQuatBytes + 2 * kVecBytes + 3 * kJointBytes + kExpressionChannels + 1;
+constexpr std::size_t kMaxDeltaBytes = 2 + 4 + kVecBytes + kQuatBytes + 2 * kVecBytes +
+                                       3 * kJointBytes + 2 + kExpressionChannels + 1;
+
+void write_quat(Writer& w, const math::Quat& q_in) {
     const math::Quat q = q_in.normalized();
     const double comps[4] = {q.w, q.x, q.y, q.z};
     std::size_t largest = 0;
@@ -30,9 +42,12 @@ void write_quat(ByteWriter& w, const math::Quat& q_in) {
     }
 }
 
-math::Quat read_quat(ByteReader& r) {
-    const std::size_t largest = r.u8();
-    if (largest > 3) throw std::out_of_range("read_quat: bad component index");
+math::Quat read_quat(Reader& r) {
+    std::size_t largest = r.u8();
+    if (largest > 3) {
+        r.fail();
+        largest = 0;
+    }
     double comps[4] = {0, 0, 0, 0};
     double sum_sq = 0.0;
     for (std::size_t i = 0; i < 4; ++i) {
@@ -44,13 +59,13 @@ math::Quat read_quat(ByteReader& r) {
     return math::Quat{comps[0], comps[1], comps[2], comps[3]}.normalized();
 }
 
-void write_vec(ByteWriter& w, const math::Vec3& v, double range) {
+void write_vec(Writer& w, const math::Vec3& v, double range) {
     w.i16(quantize16(v.x, -range, range));
     w.i16(quantize16(v.y, -range, range));
     w.i16(quantize16(v.z, -range, range));
 }
 
-math::Vec3 read_vec(ByteReader& r, double range) {
+math::Vec3 read_vec(Reader& r, double range) {
     const double x = dequantize16(r.i16(), -range, range);
     const double y = dequantize16(r.i16(), -range, range);
     const double z = dequantize16(r.i16(), -range, range);
@@ -102,7 +117,9 @@ double AvatarCodec::position_resolution() const {
 }
 
 std::vector<std::uint8_t> AvatarCodec::encode_full(const AvatarState& s) const {
-    ByteWriter w;
+    std::vector<std::uint8_t> out;
+    out.reserve(kFullBytes);
+    Writer w{out};
     w.u32(s.participant.value());
     w.u64(static_cast<std::uint64_t>(s.captured_at.nanos() / 1000));  // microseconds
     write_vec(w, s.root.pose.position, bounds_.pos_range_m);
@@ -118,14 +135,17 @@ std::vector<std::uint8_t> AvatarCodec::encode_full(const AvatarState& s) const {
         w.u8(quantize8_unit(i < s.expression.size() ? s.expression[i] : 0.0));
     }
     w.u8(s.viseme);
-    return w.take();
+    return out;
 }
 
-AvatarState AvatarCodec::decode_full(std::span<const std::uint8_t> bytes) const {
-    ByteReader r{bytes};
+std::optional<AvatarState> AvatarCodec::decode_full(std::span<const std::uint8_t> bytes) const {
+    Reader r{bytes};
     AvatarState s;
     s.participant = ParticipantId{r.u32()};
-    s.captured_at = sim::Time::us(static_cast<std::int64_t>(r.u64()));
+    // Microseconds; more than int64 nanoseconds can hold is not a timestamp.
+    const std::uint64_t captured_us = r.u64();
+    if (captured_us > static_cast<std::uint64_t>(INT64_MAX / 1000)) r.fail();
+    s.captured_at = sim::Time::us(r.ok() ? static_cast<std::int64_t>(captured_us) : 0);
     s.root.pose.position = read_vec(r, bounds_.pos_range_m);
     s.root.pose.orientation = read_quat(r);
     s.root.linear_velocity = read_vec(r, bounds_.linear_vel_range);
@@ -139,6 +159,7 @@ AvatarState AvatarCodec::decode_full(std::span<const std::uint8_t> bytes) const 
         s.expression[i] = dequantize8_unit(r.u8());
     }
     s.viseme = r.u8();
+    if (!r.ok()) return std::nullopt;
     return s;
 }
 
@@ -169,7 +190,9 @@ std::vector<std::uint8_t> AvatarCodec::encode_delta(const AvatarState& reference
     if (expr_mask != 0) mask |= kExpression;
     if (current.viseme != reference.viseme) mask |= kViseme;
 
-    ByteWriter w;
+    std::vector<std::uint8_t> out;
+    out.reserve(kMaxDeltaBytes);
+    Writer w{out};
     w.u16(mask);
     w.u32(static_cast<std::uint32_t>(current.captured_at.nanos() / 1000000));  // ms
     if (mask & kRootPos) write_vec(w, current.root.pose.position, bounds_.pos_range_m);
@@ -196,12 +219,12 @@ std::vector<std::uint8_t> AvatarCodec::encode_delta(const AvatarState& reference
         }
     }
     if (mask & kViseme) w.u8(current.viseme);
-    return w.take();
+    return out;
 }
 
-AvatarState AvatarCodec::decode_delta(const AvatarState& reference,
-                                      std::span<const std::uint8_t> bytes) const {
-    ByteReader r{bytes};
+std::optional<AvatarState> AvatarCodec::decode_delta(const AvatarState& reference,
+                                                     std::span<const std::uint8_t> bytes) const {
+    Reader r{bytes};
     AvatarState s = reference;
     const std::uint16_t mask = r.u16();
     s.captured_at = sim::Time::ms(static_cast<double>(r.u32()));
@@ -225,6 +248,7 @@ AvatarState AvatarCodec::decode_delta(const AvatarState& reference,
         }
     }
     if (mask & kViseme) s.viseme = r.u8();
+    if (!r.ok()) return std::nullopt;
     return s;
 }
 

@@ -9,6 +9,7 @@
 // unit-tested.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,15 +38,19 @@ public:
     explicit AvatarCodec(CodecBounds bounds = {}, DeltaThresholds thresholds = {});
 
     [[nodiscard]] std::vector<std::uint8_t> encode_full(const AvatarState& s) const;
-    [[nodiscard]] AvatarState decode_full(std::span<const std::uint8_t> bytes) const;
+    /// nullopt when `bytes` is not a full snapshot (short, or a quaternion
+    /// component index out of range): avatar bytes arrive from the network.
+    [[nodiscard]] std::optional<AvatarState> decode_full(
+        std::span<const std::uint8_t> bytes) const;
 
     /// Delta against `reference` (the last state the receiver is known to
     /// hold). Unchanged groups cost nothing beyond the 2-byte mask.
     [[nodiscard]] std::vector<std::uint8_t> encode_delta(const AvatarState& reference,
                                                          const AvatarState& current) const;
-    /// Apply a delta on top of `reference`.
-    [[nodiscard]] AvatarState decode_delta(const AvatarState& reference,
-                                           std::span<const std::uint8_t> bytes) const;
+    /// Apply a delta on top of `reference`; nullopt when `bytes` is not a
+    /// delta, as for decode_full.
+    [[nodiscard]] std::optional<AvatarState> decode_delta(
+        const AvatarState& reference, std::span<const std::uint8_t> bytes) const;
 
     [[nodiscard]] const CodecBounds& bounds() const { return bounds_; }
     [[nodiscard]] const DeltaThresholds& thresholds() const { return thresholds_; }
@@ -57,5 +62,14 @@ private:
     CodecBounds bounds_;
     DeltaThresholds thresholds_;
 };
+
+/// Quantize a double in [lo, hi] to a signed 16-bit integer; values outside
+/// the range clamp. Resolution = (hi-lo)/65535.
+[[nodiscard]] std::int16_t quantize16(double v, double lo, double hi);
+[[nodiscard]] double dequantize16(std::int16_t q, double lo, double hi);
+
+/// Quantize a value in [0,1] to 8 bits.
+[[nodiscard]] std::uint8_t quantize8_unit(double v);
+[[nodiscard]] double dequantize8_unit(std::uint8_t q);
 
 }  // namespace mvc::avatar

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/bytes.hpp"
+
 namespace mvc::core {
 
 void AvatarPool::reserve(std::size_t capacity) {
@@ -83,49 +85,27 @@ void AvatarPool::clear_dirty() {
     std::memset(dirty_.data(), 0, dirty_.size());
 }
 
-namespace {
-template <class T>
-void put(std::uint8_t*& p, T v) {
-    std::memcpy(p, &v, sizeof(T));
-    p += sizeof(T);
-}
-template <class T>
-T get(const std::uint8_t*& p) {
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    p += sizeof(T);
-    return v;
-}
-}  // namespace
-
 void AvatarPool::encode_record(std::uint32_t index,
                                std::vector<std::uint8_t>& out) const {
-    const std::size_t old = out.size();
-    out.resize(old + kRecordBytes);
-    std::uint8_t* at = out.data() + old;
-    put<std::uint32_t>(at, ids_[index].value());
-    put<std::uint32_t>(at, seqs_[index]);
-    put<std::uint8_t>(at, lods_[index]);
     const math::Vec3& p = positions_[index];
-    put<float>(at, static_cast<float>(p.x));
-    put<float>(at, static_cast<float>(p.y));
-    put<float>(at, static_cast<float>(p.z));
     const math::Vec3& v = velocities_[index];
-    put<float>(at, static_cast<float>(v.x));
-    put<float>(at, static_cast<float>(v.y));
-    put<float>(at, static_cast<float>(v.z));
+    bytes::Writer{out}.fields(ids_[index].value(), seqs_[index], lods_[index],
+                              static_cast<float>(p.x), static_cast<float>(p.y),
+                              static_cast<float>(p.z), static_cast<float>(v.x),
+                              static_cast<float>(v.y), static_cast<float>(v.z));
 }
 
 AvatarPool::Record AvatarPool::decode_record(const std::uint8_t* data) {
-    Record r;
-    r.id = EntityId{get<std::uint32_t>(data)};
-    r.seq = get<std::uint32_t>(data);
-    r.lod = get<std::uint8_t>(data);
-    const float px = get<float>(data), py = get<float>(data), pz = get<float>(data);
-    const float vx = get<float>(data), vy = get<float>(data), vz = get<float>(data);
-    r.position = {px, py, pz};
-    r.velocity = {vx, vy, vz};
-    return r;
+    bytes::Reader r{std::span<const std::uint8_t>{data, kRecordBytes}};
+    Record rec;
+    rec.id = EntityId{r.u32()};
+    rec.seq = r.u32();
+    rec.lod = r.u8();
+    for (math::Vec3* v : {&rec.position, &rec.velocity}) {
+        const float x = r.f32(), y = r.f32(), z = r.f32();
+        *v = {x, y, z};
+    }
+    return rec;
 }
 
 }  // namespace mvc::core

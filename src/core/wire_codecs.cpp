@@ -1,7 +1,6 @@
 #include "core/wire_codecs.hpp"
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -16,9 +15,8 @@ namespace mvc::core {
 
 namespace {
 
-using net::wiredata::put;
-using net::wiredata::put_bytes;
-using net::wiredata::Reader;
+using Writer = bytes::Writer<std::byte>;
+using bytes::Reader;
 
 /// Smallest encodings of the list elements below, for Reader::count:
 /// an AvatarWire with empty bytes and relay list, and a ResyncEntry with
@@ -26,42 +24,43 @@ using net::wiredata::Reader;
 constexpr std::size_t kMinAvatarBytes = 4 + 4 + 1 + 4 + 8 + 4 + 4;
 constexpr std::size_t kMinResyncEntryBytes = 4 + 4 + 8 + 4;
 
-void put_avatar(std::vector<std::byte>& out, const sync::AvatarWire& w) {
-    put<std::uint32_t>(out, w.participant.value());
-    put<std::uint32_t>(out, w.source_room.value());
-    put<std::uint8_t>(out, w.keyframe ? 1 : 0);
-    put<std::uint32_t>(out, w.seq);
-    put<std::int64_t>(out, w.captured_at.nanos());
-    put_bytes(out, w.bytes);
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(w.relay_to.size()));
-    for (const std::uint32_t n : w.relay_to) put<std::uint32_t>(out, n);
+std::vector<std::uint8_t> get_block(Reader& r) {
+    const auto b = r.bytes(r.u32());
+    return {b.begin(), b.end()};
+}
+
+void put_avatar(Writer& w, const sync::AvatarWire& a) {
+    w.u32(a.participant.value());
+    w.u32(a.source_room.value());
+    w.u8(a.keyframe ? 1 : 0);
+    w.u32(a.seq);
+    w.i64(a.captured_at.nanos());
+    w.prefixed(a.bytes);
+    w.u32(static_cast<std::uint32_t>(a.relay_to.size()));
+    for (const std::uint32_t n : a.relay_to) w.u32(n);
 }
 
 sync::AvatarWire get_avatar(Reader& r) {
-    sync::AvatarWire w;
-    w.participant = ParticipantId{r.get<std::uint32_t>()};
-    w.source_room = ClassroomId{r.get<std::uint32_t>()};
-    w.keyframe = r.get<std::uint8_t>() != 0;
-    w.seq = r.get<std::uint32_t>();
-    w.captured_at = sim::Time::ns(r.get<std::int64_t>());
-    w.bytes = r.get_bytes();
+    sync::AvatarWire a;
+    a.participant = ParticipantId{r.u32()};
+    a.source_room = ClassroomId{r.u32()};
+    a.keyframe = r.u8() != 0;
+    a.seq = r.u32();
+    a.captured_at = sim::Time::ns(r.i64());
+    a.bytes = get_block(r);
     const auto relays = r.count(sizeof(std::uint32_t));
-    w.relay_to.reserve(relays);
-    for (std::uint32_t i = 0; r.ok && i < relays; ++i)
-        w.relay_to.push_back(r.get<std::uint32_t>());
-    return w;
+    a.relay_to.reserve(relays);
+    for (std::uint32_t i = 0; i < relays; ++i) a.relay_to.push_back(r.u32());
+    return a;
 }
 
-/// Wrap a field-wise decode with the "consumed the whole body, no overrun"
-/// check every codec needs.
-template <class T, class GetFn>
-net::WireCodecs::Decode whole_body(GetFn get) {
-    return [get](std::span<const std::byte> body) -> std::optional<net::Payload> {
-        Reader r{body};
-        T value = get(r);
-        if (!r.ok || r.pos != body.size()) return std::nullopt;
-        return net::Payload{std::move(value)};
-    };
+/// Register T under `tag` with a field-wise put(Writer&, const T&) and
+/// get(Reader&) -> T.
+template <class T, class Put, class Get>
+void add(net::WireCodecs& codecs, std::uint16_t tag, Put put, Get get) {
+    codecs.register_codec<T>(
+        tag, [put](const net::Payload& p, Writer& w) { put(w, p.get<T>()); },
+        [get](Reader& r) -> std::optional<net::Payload> { return net::Payload{get(r)}; });
 }
 
 }  // namespace
@@ -69,107 +68,82 @@ net::WireCodecs::Decode whole_body(GetFn get) {
 void register_wire_codecs() {
     net::WireCodecs& codecs = net::WireCodecs::instance();
 
-    codecs.register_codec<sync::AvatarWire>(
-        kTagAvatar,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
-            put_avatar(out, p.get<sync::AvatarWire>());
-        },
-        whole_body<sync::AvatarWire>([](Reader& r) { return get_avatar(r); }));
+    add<sync::AvatarWire>(codecs, kTagAvatar, put_avatar, get_avatar);
 
-    codecs.register_codec<sync::AvatarBatchWire>(
-        kTagAvatarBatch,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
-            const auto& batch = p.get<sync::AvatarBatchWire>();
-            put<std::uint32_t>(out, static_cast<std::uint32_t>(batch.updates.size()));
-            for (const sync::AvatarWire& u : batch.updates) put_avatar(out, u);
+    add<sync::AvatarBatchWire>(
+        codecs, kTagAvatarBatch,
+        [](Writer& w, const sync::AvatarBatchWire& batch) {
+            w.u32(static_cast<std::uint32_t>(batch.updates.size()));
+            for (const sync::AvatarWire& u : batch.updates) put_avatar(w, u);
         },
-        whole_body<sync::AvatarBatchWire>([](Reader& r) {
+        [](Reader& r) {
             sync::AvatarBatchWire batch;
             const auto count = r.count(kMinAvatarBytes);
             batch.updates.reserve(count);
-            for (std::uint32_t i = 0; r.ok && i < count; ++i)
-                batch.updates.push_back(get_avatar(r));
+            for (std::uint32_t i = 0; i < count; ++i) batch.updates.push_back(get_avatar(r));
             return batch;
-        }));
+        });
 
-    codecs.register_codec<fault::HeartbeatWire>(
-        kTagHeartbeat,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
-            put<std::uint64_t>(out, p.get<fault::HeartbeatWire>().seq);
-        },
-        whole_body<fault::HeartbeatWire>([](Reader& r) {
-            return fault::HeartbeatWire{r.get<std::uint64_t>()};
-        }));
+    add<fault::HeartbeatWire>(
+        codecs, kTagHeartbeat,
+        [](Writer& w, const fault::HeartbeatWire& hb) { w.u64(hb.seq); },
+        [](Reader& r) { return fault::HeartbeatWire{r.u64()}; });
 
     sync::ClockSyncSession::register_wire_codecs(codecs, kTagClockRequest,
                                                  kTagClockReply);
 
-    codecs.register_codec<recovery::ResyncRequest>(
-        kTagResyncRequest,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
-            const auto& req = p.get<recovery::ResyncRequest>();
-            put<std::uint64_t>(out, req.nonce);
-            put<std::int64_t>(out, req.requested_at.nanos());
+    add<recovery::ResyncRequest>(
+        codecs, kTagResyncRequest,
+        [](Writer& w, const recovery::ResyncRequest& req) {
+            w.u64(req.nonce);
+            w.i64(req.requested_at.nanos());
         },
-        whole_body<recovery::ResyncRequest>([](Reader& r) {
+        [](Reader& r) {
             recovery::ResyncRequest req;
-            req.nonce = r.get<std::uint64_t>();
-            req.requested_at = sim::Time::ns(r.get<std::int64_t>());
+            req.nonce = r.u64();
+            req.requested_at = sim::Time::ns(r.i64());
             return req;
-        }));
+        });
 
-    codecs.register_codec<recovery::ResyncSnapshot>(
-        kTagResyncSnapshot,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
-            const auto& snap = p.get<recovery::ResyncSnapshot>();
-            put<std::uint64_t>(out, snap.nonce);
-            put<std::int64_t>(out, snap.served_at.nanos());
-            put<std::uint32_t>(out, static_cast<std::uint32_t>(snap.entries.size()));
+    add<recovery::ResyncSnapshot>(
+        codecs, kTagResyncSnapshot,
+        [](Writer& w, const recovery::ResyncSnapshot& snap) {
+            w.u64(snap.nonce);
+            w.i64(snap.served_at.nanos());
+            w.u32(static_cast<std::uint32_t>(snap.entries.size()));
             for (const recovery::ResyncEntry& e : snap.entries) {
-                put<std::uint32_t>(out, e.participant.value());
-                put<std::uint32_t>(out, e.source_room.value());
-                put<std::int64_t>(out, e.captured_at.nanos());
-                put_bytes(out, e.bytes);
+                w.u32(e.participant.value());
+                w.u32(e.source_room.value());
+                w.i64(e.captured_at.nanos());
+                w.prefixed(e.bytes);
             }
         },
-        whole_body<recovery::ResyncSnapshot>([](Reader& r) {
+        [](Reader& r) {
             recovery::ResyncSnapshot snap;
-            snap.nonce = r.get<std::uint64_t>();
-            snap.served_at = sim::Time::ns(r.get<std::int64_t>());
+            snap.nonce = r.u64();
+            snap.served_at = sim::Time::ns(r.i64());
             const auto count = r.count(kMinResyncEntryBytes);
             snap.entries.reserve(count);
-            for (std::uint32_t i = 0; r.ok && i < count; ++i) {
+            for (std::uint32_t i = 0; i < count; ++i) {
                 recovery::ResyncEntry e;
-                e.participant = ParticipantId{r.get<std::uint32_t>()};
-                e.source_room = ClassroomId{r.get<std::uint32_t>()};
-                e.captured_at = sim::Time::ns(r.get<std::int64_t>());
-                e.bytes = r.get_bytes();
+                e.participant = ParticipantId{r.u32()};
+                e.source_room = ClassroomId{r.u32()};
+                e.captured_at = sim::Time::ns(r.i64());
+                e.bytes = get_block(r);
                 snap.entries.push_back(std::move(e));
             }
             return snap;
-        }));
+        });
 
     net::ReliableChannel::register_wire_codecs(codecs, kTagArqData);
 
-    codecs.register_codec<std::uint64_t>(
-        kTagSeq,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
-            put<std::uint64_t>(out, p.get<std::uint64_t>());
-        },
-        whole_body<std::uint64_t>([](Reader& r) { return r.get<std::uint64_t>(); }));
+    add<std::uint64_t>(
+        codecs, kTagSeq, [](Writer& w, std::uint64_t seq) { w.u64(seq); },
+        [](Reader& r) { return r.u64(); });
 
-    codecs.register_codec<std::string>(
-        kTagText,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
-            const auto& s = p.get<std::string>();
-            put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-            for (const char c : s) out.push_back(static_cast<std::byte>(c));
-        },
-        whole_body<std::string>([](Reader& r) {
-            const auto n = r.get<std::uint32_t>();
-            const auto b = r.bytes(n);
-            return std::string{reinterpret_cast<const char*>(b.data()), b.size()};
-        }));
+    add<std::string>(
+        codecs, kTagText, [](Writer& w, const std::string& s) { w.prefixed(s); },
+        [](Reader& r) { return r.str(r.u32()); });
 }
 
 }  // namespace mvc::core

@@ -48,27 +48,26 @@ ReliableChannel::ReliableChannel(Backend& net, PacketDemux& src_demux,
 void ReliableChannel::register_wire_codecs(WireCodecs& codecs, std::uint16_t data_tag) {
     codecs.register_codec<Wire>(
         data_tag,
-        [](const Payload& p, std::vector<std::byte>& out) {
+        [](const Payload& p, bytes::Writer<std::byte>& out) {
             const auto& w = p.get<Wire>();
-            wiredata::put<std::uint64_t>(out, w.seq);
-            wiredata::put<std::int64_t>(out, w.first_sent.nanos());
-            wiredata::put<std::int32_t>(out, w.transmission);
+            out.u64(w.seq);
+            out.i64(w.first_sent.nanos());
+            out.i32(w.transmission);
             if (!encode_nested_payload(w.app_payload, out)) {
                 // No codec for the application payload: ship the wrapper with
                 // an empty nested payload rather than failing the whole
                 // segment (the ACK machinery still needs the seq through).
-                wiredata::put<std::uint16_t>(out, kTagEmpty);
-                wiredata::put<std::uint32_t>(out, 0);
+                out.u16(kTagEmpty);
+                out.u32(0);
             }
         },
-        [](std::span<const std::byte> body) -> std::optional<Payload> {
-            wiredata::Reader r{body};
+        [](bytes::Reader& r) -> std::optional<Payload> {
             Wire w;
-            w.seq = r.get<std::uint64_t>();
-            w.first_sent = sim::Time::ns(r.get<std::int64_t>());
-            w.transmission = r.get<std::int32_t>();
+            w.seq = r.u64();
+            w.first_sent = sim::Time::ns(r.i64());
+            w.transmission = r.i32();
             std::optional<Payload> nested = decode_nested_payload(r);
-            if (!nested || !r.ok || r.pos != body.size()) return std::nullopt;
+            if (!nested) return std::nullopt;
             w.app_payload = std::move(*nested);
             return Payload{std::move(w)};
         });

@@ -1,37 +1,33 @@
 #include "net/wire_format.hpp"
 
-#include <array>
-#include <cstring>
 #include <stdexcept>
 
 namespace mvc::net {
 
 namespace {
 
-// Standard CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven.
-std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-        table[i] = c;
-    }
-    return table;
+/// u32 body length, then the body the tag's encoder appends; the length is
+/// patched in once the body is written.
+void put_body(bytes::Writer<std::byte>& w, std::uint16_t tag, const Payload& p) {
+    const std::size_t len_at = w.size();
+    w.u32(0);
+    if (tag != kTagEmpty) (*WireCodecs::instance().encoder(tag))(p, w);
+    w.patch_u32(len_at, static_cast<std::uint32_t>(w.size() - len_at - 4));
 }
 
+/// Decode `body` with the codec registered for `tag` into `out`.
+FrameDefect decode_body(std::uint16_t tag, std::span<const std::uint8_t> body, Payload& out) {
+    if (tag == kTagEmpty) return body.empty() ? FrameDefect::None : FrameDefect::BadPayload;
+    const WireCodecs::Decode* decode = WireCodecs::instance().decoder(tag);
+    if (decode == nullptr) return FrameDefect::UnknownTag;
+    bytes::Reader r{body};
+    std::optional<Payload> payload = (*decode)(r);
+    if (!payload || !r.ok() || !r.done()) return FrameDefect::BadPayload;
+    out = std::move(*payload);
+    return FrameDefect::None;
+}
 
 }  // namespace
-
-using wiredata::Reader;
-using wiredata::put;
-
-std::uint32_t crc32(std::span<const std::byte> bytes) {
-    static const std::array<std::uint32_t, 256> table = make_crc_table();
-    std::uint32_t c = 0xFFFFFFFFU;
-    for (const std::byte b : bytes)
-        c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xFFU] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFU;
-}
 
 WireCodecs& WireCodecs::instance() {
     static WireCodecs codecs;
@@ -79,26 +75,22 @@ std::optional<std::vector<std::byte>> encode_frame(const Packet& p, Priority pri
 
     std::vector<std::byte> out;
     out.reserve(64 + p.flow.size());
-    put<std::uint32_t>(out, kWireMagic);
-    put<std::uint8_t>(out, kWireVersion);
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(priority));
-    put<std::uint16_t>(out, *tag);
-    put<std::uint32_t>(out, p.src);
-    put<std::uint32_t>(out, p.dst);
-    put<std::uint64_t>(out, p.id);
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(p.size_bytes));
-    put<std::int64_t>(out, p.sent_at.nanos());
+    bytes::Writer w{out};
+    w.u32(kWireMagic);
+    w.u8(kWireVersion);
+    w.u8(static_cast<std::uint8_t>(priority));
+    w.u16(*tag);
+    w.u32(p.src);
+    w.u32(p.dst);
+    w.u64(p.id);
+    w.u64(static_cast<std::uint64_t>(p.size_bytes));
+    w.i64(p.sent_at.nanos());
 
     if (p.flow.size() > 0xFFFF) return std::nullopt;
-    put<std::uint16_t>(out, static_cast<std::uint16_t>(p.flow.size()));
-    for (const char c : p.flow) out.push_back(static_cast<std::byte>(c));
-
-    std::vector<std::byte> body;
-    if (*tag != kTagEmpty) (*codecs.encoder(*tag))(p.payload, body);
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(body.size()));
-    out.insert(out.end(), body.begin(), body.end());
-
-    put<std::uint32_t>(out, crc32(out));
+    w.u16(static_cast<std::uint16_t>(p.flow.size()));
+    w.raw(p.flow);
+    put_body(w, *tag, p.payload);
+    w.u32(bytes::crc32(out));
     return out;
 }
 
@@ -129,84 +121,56 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> frame,
         defect = d;
         return std::nullopt;
     };
-    Reader r{frame};
-    const auto magic = r.get<std::uint32_t>();
-    if (!r.ok) return reject(FrameDefect::Truncated);
+    bytes::Reader r{frame};
+    const auto magic = r.u32();
+    if (!r.ok()) return reject(FrameDefect::Truncated);
     if (magic != kWireMagic) return reject(FrameDefect::BadMagic);
-    const auto version = r.get<std::uint8_t>();
-    if (!r.ok) return reject(FrameDefect::Truncated);
+    const auto version = r.u8();
+    if (!r.ok()) return reject(FrameDefect::Truncated);
     if (version != kWireVersion) return reject(FrameDefect::BadVersion);
 
     DecodedFrame out;
-    const auto prio = r.get<std::uint8_t>();
-    if (!r.ok) return reject(FrameDefect::Truncated);
+    const auto prio = r.u8();
+    if (!r.ok()) return reject(FrameDefect::Truncated);
     if (prio > static_cast<std::uint8_t>(Priority::Bulk))
         return reject(FrameDefect::BadPriority);
     out.priority = static_cast<Priority>(prio);
-    const auto tag = r.get<std::uint16_t>();
-    out.packet.src = r.get<std::uint32_t>();
-    out.packet.dst = r.get<std::uint32_t>();
-    out.packet.id = r.get<std::uint64_t>();
-    out.packet.size_bytes = static_cast<std::size_t>(r.get<std::uint64_t>());
-    out.packet.sent_at = sim::Time::ns(r.get<std::int64_t>());
-
-    const auto flow_len = r.get<std::uint16_t>();
-    const auto flow_bytes = r.bytes(flow_len);
-    if (!r.ok) return reject(FrameDefect::Truncated);
-    out.packet.flow.assign(reinterpret_cast<const char*>(flow_bytes.data()),
-                           flow_bytes.size());
-
-    const auto body_len = r.get<std::uint32_t>();
-    const auto body = r.bytes(body_len);
-    if (!r.ok) return reject(FrameDefect::Truncated);
+    const auto tag = r.u16();
+    out.packet.src = r.u32();
+    out.packet.dst = r.u32();
+    out.packet.id = r.u64();
+    out.packet.size_bytes = static_cast<std::size_t>(r.u64());
+    out.packet.sent_at = sim::Time::ns(r.i64());
+    out.packet.flow = r.str(r.u16());
+    const auto body = r.bytes(r.u32());
+    if (!r.ok()) return reject(FrameDefect::Truncated);
 
     // The CRC must be exactly the remaining four bytes: trailing garbage is
     // as much a defect as truncation.
-    if (frame.size() - r.pos < kCrcBytes) return reject(FrameDefect::Truncated);
-    if (frame.size() - r.pos > kCrcBytes)
-        return reject(FrameDefect::TrailingGarbage);
-    const std::uint32_t stored = r.get<std::uint32_t>();
-    if (!r.ok || stored != crc32(frame.first(frame.size() - kCrcBytes)))
+    if (r.remaining() < kCrcBytes) return reject(FrameDefect::Truncated);
+    if (r.remaining() > kCrcBytes) return reject(FrameDefect::TrailingGarbage);
+    if (r.u32() != bytes::crc32(frame.first(frame.size() - kCrcBytes)))
         return reject(FrameDefect::CrcMismatch);
 
-    if (tag == kTagEmpty) {
-        if (!body.empty()) return reject(FrameDefect::BadPayload);
-        defect = FrameDefect::None;
-        return out;
-    }
-    const WireCodecs::Decode* decode = WireCodecs::instance().decoder(tag);
-    if (decode == nullptr) return reject(FrameDefect::UnknownTag);
-    std::optional<Payload> payload = (*decode)(body);
-    if (!payload) return reject(FrameDefect::BadPayload);
-    out.packet.payload = std::move(*payload);
-    defect = FrameDefect::None;
+    defect = decode_body(tag, body, out.packet.payload);
+    if (defect != FrameDefect::None) return std::nullopt;
     return out;
 }
 
-bool encode_nested_payload(const Payload& p, std::vector<std::byte>& out) {
-    const WireCodecs& codecs = WireCodecs::instance();
-    const std::optional<std::uint16_t> tag = codecs.tag_of(p);
+bool encode_nested_payload(const Payload& p, bytes::Writer<std::byte>& w) {
+    const std::optional<std::uint16_t> tag = WireCodecs::instance().tag_of(p);
     if (!tag) return false;
-    put<std::uint16_t>(out, *tag);
-    std::vector<std::byte> body;
-    if (*tag != kTagEmpty) (*codecs.encoder(*tag))(p, body);
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(body.size()));
-    out.insert(out.end(), body.begin(), body.end());
+    w.u16(*tag);
+    put_body(w, *tag, p);
     return true;
 }
 
-std::optional<Payload> decode_nested_payload(wiredata::Reader& r) {
-    const auto tag = r.get<std::uint16_t>();
-    const auto body_len = r.get<std::uint32_t>();
-    const auto body = r.bytes(body_len);
-    if (!r.ok) return std::nullopt;
-    if (tag == kTagEmpty) {
-        if (!body.empty()) return std::nullopt;
-        return Payload{};
-    }
-    const WireCodecs::Decode* decode = WireCodecs::instance().decoder(tag);
-    if (decode == nullptr) return std::nullopt;
-    return (*decode)(body);
+std::optional<Payload> decode_nested_payload(bytes::Reader& r) {
+    const auto tag = r.u16();
+    const auto body = r.bytes(r.u32());
+    Payload out;
+    if (!r.ok() || decode_body(tag, body, out) != FrameDefect::None) return std::nullopt;
+    return out;
 }
 
 }  // namespace mvc::net

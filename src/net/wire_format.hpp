@@ -38,6 +38,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "net/packet.hpp"
 
 namespace mvc::net {
@@ -47,91 +48,17 @@ inline constexpr std::uint8_t kWireVersion = 1;
 /// Tag stamped on frames whose packet carried no payload.
 inline constexpr std::uint16_t kTagEmpty = 0;
 
-[[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes);
-
-/// Little-endian primitives shared by the frame encoder and every payload
-/// codec, so each codec does not grow its own byte-order bugs.
-namespace wiredata {
-
-template <class T>
-inline void put(std::vector<std::byte>& out, T v) {
-    static_assert(std::is_integral_v<T>);
-    auto u = static_cast<std::make_unsigned_t<T>>(v);
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        out.push_back(static_cast<std::byte>((u >> (8 * i)) & 0xFFU));
-}
-
-inline void put_bytes(std::vector<std::byte>& out, std::span<const std::uint8_t> b) {
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(b.size()));
-    for (const std::uint8_t c : b) out.push_back(static_cast<std::byte>(c));
-}
-
-/// Bounds-checked little-endian reader; `ok` latches false on overrun, and
-/// every accessor returns a zero value once latched so codecs can decode
-/// straight through and check `ok` once at the end.
-struct Reader {
-    std::span<const std::byte> buf;
-    std::size_t pos{0};
-    bool ok{true};
-
-    template <class T>
-    T get() {
-        static_assert(std::is_integral_v<T>);
-        if (!ok || buf.size() - pos < sizeof(T)) {
-            ok = false;
-            return T{};
-        }
-        std::make_unsigned_t<T> u = 0;
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            u |= static_cast<std::make_unsigned_t<T>>(
-                     static_cast<std::uint8_t>(buf[pos + i]))
-                 << (8 * i);
-        pos += sizeof(T);
-        return static_cast<T>(u);
-    }
-
-    std::span<const std::byte> bytes(std::size_t n) {
-        if (!ok || buf.size() - pos < n) {
-            ok = false;
-            return {};
-        }
-        auto s = buf.subspan(pos, n);
-        pos += n;
-        return s;
-    }
-
-    /// Element count for a list whose elements encode to at least
-    /// `min_bytes` each. A count the rest of the buffer cannot hold latches
-    /// `ok` false and reads as 0, so no decoder reserves storage for a
-    /// forged count (one 60-byte datagram could otherwise ask for gigabytes).
-    std::uint32_t count(std::size_t min_bytes) {
-        const auto n = get<std::uint32_t>();
-        if (!ok || n > (buf.size() - pos) / min_bytes) {
-            ok = false;
-            return 0;
-        }
-        return n;
-    }
-
-    std::vector<std::uint8_t> get_bytes() {
-        const auto n = get<std::uint32_t>();
-        const auto s = bytes(n);
-        std::vector<std::uint8_t> out;
-        out.reserve(s.size());
-        for (const std::byte b : s) out.push_back(static_cast<std::uint8_t>(b));
-        return out;
-    }
-};
-
-}  // namespace wiredata
-
 /// Payload codec registry: tag <-> typed encode/decode, process-global.
 /// Registration is not thread-safe (do it at startup, before any traffic);
 /// lookup is read-only afterwards.
+///
+/// An encoder appends the body to the frame's writer. A decoder gets a
+/// reader over exactly the body; the body is rejected when the decoder
+/// returns nullopt, the reader has failed, or bytes are left unread.
 class WireCodecs {
 public:
-    using Encode = std::function<void(const Payload&, std::vector<std::byte>&)>;
-    using Decode = std::function<std::optional<Payload>(std::span<const std::byte>)>;
+    using Encode = std::function<void(const Payload&, bytes::Writer<std::byte>&)>;
+    using Decode = std::function<std::optional<Payload>(bytes::Reader&)>;
 
     [[nodiscard]] static WireCodecs& instance();
 
@@ -202,10 +129,10 @@ inline constexpr std::size_t kFrameDefectCount = 9;
 /// Encode a payload nested *inside* another payload's body (the ARQ wrapper
 /// carries the application payload this way): tag(u16) + body_len(u32) +
 /// body. Returns false when the payload's type has no registered codec.
-[[nodiscard]] bool encode_nested_payload(const Payload& p, std::vector<std::byte>& out);
+[[nodiscard]] bool encode_nested_payload(const Payload& p, bytes::Writer<std::byte>& w);
 
 /// Inverse of encode_nested_payload; consumes from `r` and leaves it
 /// positioned after the nested body. nullopt on unknown tag or codec reject.
-[[nodiscard]] std::optional<Payload> decode_nested_payload(wiredata::Reader& r);
+[[nodiscard]] std::optional<Payload> decode_nested_payload(bytes::Reader& r);
 
 }  // namespace mvc::net

@@ -2,8 +2,8 @@
 
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "recovery/store.hpp"
-#include "replay/varint.hpp"
 #include "sim/simulator.hpp"
 #include "sync/wire.hpp"
 
@@ -12,13 +12,14 @@ namespace mvc::replay {
 namespace {
 constexpr std::uint8_t kWireHasAvatars = 0x01;
 
-void encode_avatar_update(std::vector<std::uint8_t>& buf, const sync::AvatarWire& w) {
-    detail::put_varint(buf, w.participant.value());
-    detail::put_varint(buf, w.source_room.value());
-    detail::put_u8(buf, w.keyframe ? 1 : 0);
-    detail::put_time(buf, w.captured_at.nanos());
-    detail::put_varint(buf, w.bytes.size());
-    detail::put_bytes(buf, w.bytes);
+using Writer = bytes::Writer<std::uint8_t>;
+
+void encode_avatar_update(Writer& w, const sync::AvatarWire& a) {
+    w.varint(a.participant.value());
+    w.varint(a.source_room.value());
+    w.u8(a.keyframe ? 1 : 0);
+    w.varint(static_cast<std::uint64_t>(a.captured_at.nanos()));
+    w.varint_prefixed(a.bytes);
 }
 }  // namespace
 
@@ -84,11 +85,10 @@ std::uint32_t Recorder::intern_flow(std::uint32_t shard, ShardState& s,
     // the definition ahead of the record that references it.
     const std::uint32_t id = (shard << 16) | s.next_flow++;
     s.flow_ids.emplace(name, id);
-    detail::put_u8(s.buf, static_cast<std::uint8_t>(RecordKind::FlowDef));
-    detail::put_varint(s.buf, id);
-    detail::put_varint(s.buf, name.size());
-    detail::put_bytes(s.buf,
-                      {reinterpret_cast<const std::uint8_t*>(name.data()), name.size()});
+    Writer w{s.buf};
+    w.u8(static_cast<std::uint8_t>(RecordKind::FlowDef));
+    w.varint(id);
+    w.varint_prefixed(name);
     ++s.records;
     return id;
 }
@@ -101,15 +101,15 @@ void Recorder::tap_packet(std::uint32_t shard, const net::Packet& p,
     if (s.records == 0) s.first_t = t;
     const std::uint32_t flow_id = intern_flow(shard, s, p.flow);
 
-    std::vector<std::uint8_t>& buf = s.buf;
-    detail::put_u8(buf, static_cast<std::uint8_t>(RecordKind::Wire));
-    detail::put_time(buf, t);
-    detail::put_varint(buf, shard);
-    detail::put_varint(buf, flow_id);
-    detail::put_varint(buf, p.src);
-    detail::put_varint(buf, p.dst);
-    detail::put_varint(buf, p.size_bytes);
-    detail::put_u8(buf, static_cast<std::uint8_t>(priority));
+    Writer w{s.buf};
+    w.u8(static_cast<std::uint8_t>(RecordKind::Wire));
+    w.varint(static_cast<std::uint64_t>(t));
+    w.varint(shard);
+    w.varint(flow_id);
+    w.varint(p.src);
+    w.varint(p.dst);
+    w.varint(p.size_bytes);
+    w.u8(static_cast<std::uint8_t>(priority));
 
     const sync::AvatarWire* one = nullptr;
     const sync::AvatarBatchWire* batch = nullptr;
@@ -121,17 +121,17 @@ void Recorder::tap_packet(std::uint32_t shard, const net::Packet& p,
         }
     }
     if (one != nullptr) {
-        detail::put_u8(buf, kWireHasAvatars);
-        detail::put_varint(buf, 1);
-        encode_avatar_update(buf, *one);
+        w.u8(kWireHasAvatars);
+        w.varint(1);
+        encode_avatar_update(w, *one);
         ++s.avatar_updates;
     } else if (batch != nullptr) {
-        detail::put_u8(buf, kWireHasAvatars);
-        detail::put_varint(buf, batch->updates.size());
-        for (const sync::AvatarWire& u : batch->updates) encode_avatar_update(buf, u);
+        w.u8(kWireHasAvatars);
+        w.varint(batch->updates.size());
+        for (const sync::AvatarWire& u : batch->updates) encode_avatar_update(w, u);
         s.avatar_updates += batch->updates.size();
     } else {
-        detail::put_u8(buf, 0);
+        w.u8(0);
     }
     ++s.records;
     ++s.wire_records;
@@ -157,13 +157,11 @@ void Recorder::record_checkpoint(const std::string& owner,
     // sits between in time (checkpoints come from the single-sim classroom).
     ShardState& s = shard_state(0);
     if (s.records == 0) s.first_t = at.nanos();
-    detail::put_u8(s.buf, static_cast<std::uint8_t>(RecordKind::Checkpoint));
-    detail::put_time(s.buf, at.nanos());
-    detail::put_varint(s.buf, owner.size());
-    detail::put_bytes(s.buf,
-                      {reinterpret_cast<const std::uint8_t*>(owner.data()), owner.size()});
-    detail::put_varint(s.buf, bytes.size());
-    detail::put_bytes(s.buf, bytes);
+    Writer w{s.buf};
+    w.u8(static_cast<std::uint8_t>(RecordKind::Checkpoint));
+    w.varint(static_cast<std::uint64_t>(at.nanos()));
+    w.varint_prefixed(owner);
+    w.varint_prefixed(bytes);
     ++s.records;
     s.has_checkpoint = true;
     ++checkpoints_;

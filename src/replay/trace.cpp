@@ -4,8 +4,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "recovery/checkpoint.hpp"  // crc32
-#include "replay/varint.hpp"
+#include "common/bytes.hpp"
 
 namespace mvc::replay {
 
@@ -17,31 +16,37 @@ constexpr std::uint8_t kWireHasAvatars = 0x01;
 // Fixed chunk header size: magic + payload_len + records + first_t + flags + crc.
 constexpr std::size_t kChunkHeaderBytes = 4 + 4 + 4 + 8 + 1 + 4;
 
-void encode_avatar(std::vector<std::uint8_t>& out, const AvatarUpdate& u) {
-    detail::put_varint(out, u.participant);
-    detail::put_varint(out, u.room);
-    detail::put_u8(out, u.keyframe ? 1 : 0);
-    detail::put_time(out, u.captured_ns);
-    detail::put_varint(out, u.bytes.size());
-    detail::put_bytes(out, u.bytes);
+using Writer = bytes::Writer<std::uint8_t>;
+using bytes::Reader;
+
+/// What a failed decode_record reports unless it names something sharper.
+constexpr std::string_view kMalformedRecord = "trace: truncated or malformed record";
+
+void encode_avatar(Writer& w, const AvatarUpdate& u) {
+    w.varint(u.participant);
+    w.varint(u.room);
+    w.u8(u.keyframe ? 1 : 0);
+    w.varint(static_cast<std::uint64_t>(u.captured_ns));
+    w.varint_prefixed(u.bytes);
 }
 
 /// Smallest encoded avatar: four one-byte varints and the keyframe byte.
 constexpr std::size_t kMinAvatarBytes = 5;
 
-AvatarUpdate decode_avatar(detail::Reader& r) {
+AvatarUpdate decode_avatar(Reader& r) {
     AvatarUpdate u;
     u.participant = r.varint32();
     u.room = r.varint32();
     u.keyframe = r.u8() != 0;
-    u.captured_ns = r.time();
-    const std::size_t len = r.varint();
-    const auto b = r.bytes(len);
+    u.captured_ns = static_cast<std::int64_t>(r.varint());
+    const auto b = r.bytes(r.varint());
     u.bytes.assign(b.begin(), b.end());
     return u;
 }
 
-Record decode_record(detail::Reader& r) {
+/// One record from `r`. On a malformed record `r` fails, and `why` is set
+/// when the defect has a more specific name than kMalformedRecord.
+Record decode_record(Reader& r, std::string_view& why) {
     const auto kind = static_cast<RecordKind>(r.u8());
     switch (kind) {
         case RecordKind::FlowDef: {
@@ -65,7 +70,7 @@ Record decode_record(detail::Reader& r) {
         }
         case RecordKind::Wire: {
             WireRecord w;
-            w.t_ns = r.time();
+            w.t_ns = static_cast<std::int64_t>(r.varint());
             w.shard = r.varint32();
             w.flow = r.varint32();
             w.src = r.varint32();
@@ -73,12 +78,9 @@ Record decode_record(detail::Reader& r) {
             w.size_bytes = r.varint();
             w.priority = r.u8();
             const std::uint8_t flags = r.u8();
-            if ((flags & kWireHasAvatars) != 0) {
-                const std::size_t n = r.varint();
-                // Each avatar takes at least kMinAvatarBytes; a larger count
-                // is corrupt and must not size the reserve.
-                if (n > r.remaining() / kMinAvatarBytes)
-                    throw TraceError("trace: avatar count exceeds record");
+            if ((flags & kWireHasAvatars) != 0 && r.ok()) {
+                const std::size_t n = r.varint_count(kMinAvatarBytes);
+                if (!r.ok()) why = "trace: avatar count exceeds record";
                 w.avatars.reserve(n);
                 for (std::size_t i = 0; i < n; ++i) w.avatars.push_back(decode_avatar(r));
             }
@@ -86,7 +88,7 @@ Record decode_record(detail::Reader& r) {
         }
         case RecordKind::StateHash: {
             HashRecord h;
-            h.t_ns = r.time();
+            h.t_ns = static_cast<std::int64_t>(r.varint());
             h.epoch = r.varint();
             h.subject = r.varint32();
             h.hash = r.u64();
@@ -94,15 +96,25 @@ Record decode_record(detail::Reader& r) {
         }
         case RecordKind::Checkpoint: {
             CheckpointRecord c;
-            c.t_ns = r.time();
+            c.t_ns = static_cast<std::int64_t>(r.varint());
             c.owner = r.str(r.varint());
-            const std::size_t len = r.varint();
-            const auto b = r.bytes(len);
+            const auto b = r.bytes(r.varint());
             c.bytes.assign(b.begin(), b.end());
             return c;
         }
     }
-    throw TraceError("trace: unknown record kind");
+    if (r.ok()) why = "trace: unknown record kind";
+    r.fail();
+    return {};
+}
+
+/// decode_record over a trace parse() already validated: a failure means
+/// the bytes changed underneath, and surfaces as TraceError.
+Record decode_parsed_record(Reader& r) {
+    std::string_view why = kMalformedRecord;
+    Record rec = decode_record(r, why);
+    if (!r.ok()) throw TraceError(std::string{why});
+    return rec;
 }
 
 /// Timestamp of a record; nullopt for definition records.
@@ -130,86 +142,89 @@ struct Scan {
 
 Scan scan_trace(std::span<const std::uint8_t> bytes) {
     Scan s;
-    detail::Reader r{bytes};
-    try {
-        if (r.u32() != kTraceMagic) {
-            s.check.error = "bad trace magic";
-            return s;
-        }
-        s.version = r.u16();
-        if (s.version != kTraceVersion) {
-            s.check.error = "unsupported trace version " + std::to_string(s.version);
-            return s;
-        }
-        s.seed = r.u64();
-        s.started_ns = r.i64();
-        s.stamp = r.str(r.varint());
-        const std::size_t crc_at = r.pos();
-        if (r.u32() != recovery::crc32(bytes.first(crc_at))) {
-            s.check.error = "trace header CRC mismatch";
-            return s;
-        }
-    } catch (const TraceError&) {
+    Reader r{bytes};
+    const std::uint32_t magic = r.u32();
+    if (r.ok() && magic != kTraceMagic) {
+        s.check.error = "bad trace magic";
+        return s;
+    }
+    s.version = r.u16();
+    if (r.ok() && s.version != kTraceVersion) {
+        s.check.error = "unsupported trace version " + std::to_string(s.version);
+        return s;
+    }
+    s.seed = r.u64();
+    s.started_ns = r.i64();
+    s.stamp = r.str(r.varint());
+    const std::size_t crc_at = r.pos();
+    const std::uint32_t header_crc = r.u32();
+    if (!r.ok()) {
         s.check.error = "truncated trace header";
+        return s;
+    }
+    if (header_crc != bytes::crc32(bytes.first(crc_at))) {
+        s.check.error = "trace header CRC mismatch";
         return s;
     }
     s.check.valid_bytes = r.pos();
 
+    const auto chunk_error = [&s](const char* what) {
+        s.check.error = what + (" at offset " + std::to_string(s.check.valid_bytes));
+    };
     while (!r.done()) {
         const std::size_t chunk_start = r.pos();
-        ChunkInfo info;
-        std::uint32_t crc = 0;
-        try {
-            if (r.remaining() < kChunkHeaderBytes) throw TraceError("short chunk header");
-            if (r.u32() != kChunkMagic) {
-                s.check.error = "bad chunk magic at offset " + std::to_string(s.check.valid_bytes);
-                return s;
-            }
-            info.payload_len = r.u32();
-            info.records = r.u32();
-            info.first_t_ns = r.i64();
-            info.flags = r.u8();
-            crc = r.u32();
-            info.payload_offset = r.pos();
-            if (info.payload_len > r.remaining()) throw TraceError("truncated chunk payload");
-        } catch (const TraceError&) {
-            s.check.error = "truncated chunk at offset " + std::to_string(s.check.valid_bytes);
+        if (r.remaining() < kChunkHeaderBytes) {
+            chunk_error("truncated chunk");
             return s;
         }
-        const std::span<const std::uint8_t> payload =
-            bytes.subspan(info.payload_offset, info.payload_len);
+        if (r.u32() != kChunkMagic) {
+            chunk_error("bad chunk magic");
+            return s;
+        }
+        ChunkInfo info;
+        info.payload_len = r.u32();
+        info.records = r.u32();
+        info.first_t_ns = r.i64();
+        info.flags = r.u8();
+        const std::uint32_t crc = r.u32();
+        info.payload_offset = r.pos();
+        const std::span<const std::uint8_t> payload = r.bytes(info.payload_len);
+        if (!r.ok()) {
+            chunk_error("truncated chunk");
+            return s;
+        }
         // CRC covers the header fields (through flags) and the payload, so a
         // flipped first_t/flags byte is caught, not just payload damage.
-        const std::uint32_t want = recovery::crc32(
-            payload, recovery::crc32(bytes.subspan(chunk_start, kChunkHeaderBytes - 4)));
+        const std::uint32_t want = bytes::crc32(
+            payload, bytes::crc32(bytes.subspan(chunk_start, kChunkHeaderBytes - 4)));
         if (want != crc) {
-            s.check.error = "chunk CRC mismatch at offset " + std::to_string(s.check.valid_bytes);
+            chunk_error("chunk CRC mismatch");
             return s;
         }
         // Decode every record: validates the payload and builds the tables
         // and the checkpoint seek index in one pass.
-        detail::Reader pr{payload};
+        Reader pr{payload};
         std::uint32_t decoded = 0;
-        try {
-            while (!pr.done()) {
-                Record rec = decode_record(pr);
-                ++decoded;
-                if (const auto t = record_time(rec))
-                    s.check.last_t_ns = std::max(s.check.last_t_ns, *t);
-                if (auto* f = std::get_if<FlowDef>(&rec)) {
-                    s.flow_names[f->id] = std::move(f->name);
-                } else if (auto* n = std::get_if<NodeDef>(&rec)) {
-                    s.node_names[(static_cast<std::uint64_t>(n->shard) << 32) | n->node] =
-                        std::move(n->name);
-                } else if (auto* sub = std::get_if<SubjectDef>(&rec)) {
-                    s.subject_names[sub->id] = std::move(sub->name);
-                } else if (const auto* c = std::get_if<CheckpointRecord>(&rec)) {
-                    s.checkpoints.push_back(CheckpointRef{c->t_ns, s.chunks.size()});
-                }
+        while (!pr.done()) {
+            std::string_view why = kMalformedRecord;
+            Record rec = decode_record(pr, why);
+            if (!pr.ok()) {
+                s.check.error = "chunk payload decode failed: " + std::string{why};
+                return s;
             }
-        } catch (const TraceError& e) {
-            s.check.error = std::string{"chunk payload decode failed: "} + e.what();
-            return s;
+            ++decoded;
+            if (const auto t = record_time(rec))
+                s.check.last_t_ns = std::max(s.check.last_t_ns, *t);
+            if (auto* f = std::get_if<FlowDef>(&rec)) {
+                s.flow_names[f->id] = std::move(f->name);
+            } else if (auto* n = std::get_if<NodeDef>(&rec)) {
+                s.node_names[(static_cast<std::uint64_t>(n->shard) << 32) | n->node] =
+                    std::move(n->name);
+            } else if (auto* sub = std::get_if<SubjectDef>(&rec)) {
+                s.subject_names[sub->id] = std::move(sub->name);
+            } else if (const auto* c = std::get_if<CheckpointRecord>(&rec)) {
+                s.checkpoints.push_back(CheckpointRef{c->t_ns, s.chunks.size()});
+            }
         }
         if (decoded != info.records) {
             s.check.error = "chunk record count mismatch (header says " +
@@ -217,7 +232,6 @@ Scan scan_trace(std::span<const std::uint8_t> bytes) {
                             std::to_string(decoded) + ")";
             return s;
         }
-        (void)r.bytes(info.payload_len);  // consume
         s.chunks.push_back(info);
         ++s.check.chunks;
         s.check.records += decoded;
@@ -232,56 +246,48 @@ Scan scan_trace(std::span<const std::uint8_t> bytes) {
 // ------------------------------------------------------------ encode_record
 
 void encode_record(std::vector<std::uint8_t>& out, const Record& r) {
+    Writer w{out};
     std::visit(
-        [&out](const auto& rec) {
+        [&w](const auto& rec) {
             using T = std::decay_t<decltype(rec)>;
             if constexpr (std::is_same_v<T, FlowDef>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::FlowDef));
-                detail::put_varint(out, rec.id);
-                detail::put_varint(out, rec.name.size());
-                detail::put_bytes(out, {reinterpret_cast<const std::uint8_t*>(rec.name.data()),
-                                        rec.name.size()});
+                w.u8(static_cast<std::uint8_t>(RecordKind::FlowDef));
+                w.varint(rec.id);
+                w.varint_prefixed(rec.name);
             } else if constexpr (std::is_same_v<T, NodeDef>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::NodeDef));
-                detail::put_varint(out, rec.shard);
-                detail::put_varint(out, rec.node);
-                detail::put_varint(out, rec.name.size());
-                detail::put_bytes(out, {reinterpret_cast<const std::uint8_t*>(rec.name.data()),
-                                        rec.name.size()});
+                w.u8(static_cast<std::uint8_t>(RecordKind::NodeDef));
+                w.varint(rec.shard);
+                w.varint(rec.node);
+                w.varint_prefixed(rec.name);
             } else if constexpr (std::is_same_v<T, SubjectDef>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::SubjectDef));
-                detail::put_varint(out, rec.id);
-                detail::put_varint(out, rec.name.size());
-                detail::put_bytes(out, {reinterpret_cast<const std::uint8_t*>(rec.name.data()),
-                                        rec.name.size()});
+                w.u8(static_cast<std::uint8_t>(RecordKind::SubjectDef));
+                w.varint(rec.id);
+                w.varint_prefixed(rec.name);
             } else if constexpr (std::is_same_v<T, WireRecord>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::Wire));
-                detail::put_time(out, rec.t_ns);
-                detail::put_varint(out, rec.shard);
-                detail::put_varint(out, rec.flow);
-                detail::put_varint(out, rec.src);
-                detail::put_varint(out, rec.dst);
-                detail::put_varint(out, rec.size_bytes);
-                detail::put_u8(out, rec.priority);
-                detail::put_u8(out, rec.avatars.empty() ? 0 : kWireHasAvatars);
+                w.u8(static_cast<std::uint8_t>(RecordKind::Wire));
+                w.varint(static_cast<std::uint64_t>(rec.t_ns));
+                w.varint(rec.shard);
+                w.varint(rec.flow);
+                w.varint(rec.src);
+                w.varint(rec.dst);
+                w.varint(rec.size_bytes);
+                w.u8(rec.priority);
+                w.u8(rec.avatars.empty() ? 0 : kWireHasAvatars);
                 if (!rec.avatars.empty()) {
-                    detail::put_varint(out, rec.avatars.size());
-                    for (const AvatarUpdate& u : rec.avatars) encode_avatar(out, u);
+                    w.varint(rec.avatars.size());
+                    for (const AvatarUpdate& u : rec.avatars) encode_avatar(w, u);
                 }
             } else if constexpr (std::is_same_v<T, HashRecord>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::StateHash));
-                detail::put_time(out, rec.t_ns);
-                detail::put_varint(out, rec.epoch);
-                detail::put_varint(out, rec.subject);
-                detail::put_u64(out, rec.hash);
+                w.u8(static_cast<std::uint8_t>(RecordKind::StateHash));
+                w.varint(static_cast<std::uint64_t>(rec.t_ns));
+                w.varint(rec.epoch);
+                w.varint(rec.subject);
+                w.u64(rec.hash);
             } else if constexpr (std::is_same_v<T, CheckpointRecord>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::Checkpoint));
-                detail::put_time(out, rec.t_ns);
-                detail::put_varint(out, rec.owner.size());
-                detail::put_bytes(out, {reinterpret_cast<const std::uint8_t*>(rec.owner.data()),
-                                        rec.owner.size()});
-                detail::put_varint(out, rec.bytes.size());
-                detail::put_bytes(out, rec.bytes);
+                w.u8(static_cast<std::uint8_t>(RecordKind::Checkpoint));
+                w.varint(static_cast<std::uint64_t>(rec.t_ns));
+                w.varint_prefixed(rec.owner);
+                w.varint_prefixed(rec.bytes);
             }
         },
         r);
@@ -316,14 +322,13 @@ TraceWriter::TraceWriter(TraceSink& sink, std::uint64_t seed, std::string_view s
                          std::int64_t started_ns, TraceWriterOptions options)
     : sink_(sink), options_(options) {
     std::vector<std::uint8_t> header;
-    detail::put_u32(header, kTraceMagic);
-    detail::put_u16(header, kTraceVersion);
-    detail::put_u64(header, seed);
-    detail::put_i64(header, started_ns);
-    detail::put_varint(header, stamp.size());
-    detail::put_bytes(header,
-                      {reinterpret_cast<const std::uint8_t*>(stamp.data()), stamp.size()});
-    detail::put_u32(header, recovery::crc32(header));
+    Writer w{header};
+    w.u32(kTraceMagic);
+    w.u16(kTraceVersion);
+    w.u64(seed);
+    w.i64(started_ns);
+    w.varint_prefixed(stamp);
+    w.u32(bytes::crc32(header));
     sink_.write(header.data(), header.size());
     bytes_written_ += header.size();
     pending_.reserve(options_.chunk_bytes + options_.chunk_bytes / 4);
@@ -345,13 +350,13 @@ void TraceWriter::append(std::span<const std::uint8_t> encoded, std::size_t reco
 void TraceWriter::emit_chunk() {
     if (pending_records_ == 0) return;
     chunk_header_.clear();
-    detail::put_u32(chunk_header_, kChunkMagic);
-    detail::put_u32(chunk_header_, static_cast<std::uint32_t>(pending_.size()));
-    detail::put_u32(chunk_header_, static_cast<std::uint32_t>(pending_records_));
-    detail::put_i64(chunk_header_, pending_first_t_);
-    detail::put_u8(chunk_header_, pending_has_checkpoint_ ? kChunkHasCheckpoint : 0);
-    detail::put_u32(chunk_header_,
-                    recovery::crc32(pending_, recovery::crc32(chunk_header_)));
+    Writer w{chunk_header_};
+    w.u32(kChunkMagic);
+    w.u32(static_cast<std::uint32_t>(pending_.size()));
+    w.u32(static_cast<std::uint32_t>(pending_records_));
+    w.i64(pending_first_t_);
+    w.u8(pending_has_checkpoint_ ? kChunkHasCheckpoint : 0);
+    w.u32(bytes::crc32(pending_, bytes::crc32(chunk_header_)));
     sink_.write(chunk_header_.data(), chunk_header_.size());
     sink_.write(pending_.data(), pending_.size());
     bytes_written_ += chunk_header_.size() + pending_.size();
@@ -435,8 +440,8 @@ bool Trace::Cursor::next(Record& out) {
         }
         const std::span<const std::uint8_t> payload{
             trace_->bytes_.data() + info.payload_offset + pos_, info.payload_len - pos_};
-        detail::Reader r{payload};
-        out = decode_record(r);
+        Reader r{payload};
+        out = decode_parsed_record(r);
         pos_ += r.pos();
         return true;
     }
@@ -447,8 +452,9 @@ void Trace::each_record(std::size_t chunk,
                         const std::function<void(const Record&)>& fn) const {
     if (chunk >= chunks_.size()) return;
     const ChunkInfo& info = chunks_[chunk];
-    detail::Reader r{{bytes_.data() + info.payload_offset, info.payload_len}};
-    while (!r.done()) fn(decode_record(r));
+    Reader r{std::span<const std::uint8_t>{bytes_.data() + info.payload_offset,
+                                           info.payload_len}};
+    while (!r.done()) fn(decode_parsed_record(r));
 }
 
 // ----------------------------------------------------------------- truncate

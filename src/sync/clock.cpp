@@ -37,28 +37,23 @@ void ClockSyncSession::register_wire_codecs(net::WireCodecs& codecs,
                                             std::uint16_t reply_tag) {
     codecs.register_codec<Request>(
         request_tag,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
-            net::wiredata::put<std::int64_t>(out, p.get<Request>().t0_client.nanos());
+        [](const net::Payload& p, bytes::Writer<std::byte>& out) {
+            out.i64(p.get<Request>().t0_client.nanos());
         },
-        [](std::span<const std::byte> body) -> std::optional<net::Payload> {
-            net::wiredata::Reader r{body};
-            const Request req{sim::Time::ns(r.get<std::int64_t>())};
-            if (!r.ok || r.pos != body.size()) return std::nullopt;
-            return net::Payload{req};
+        [](bytes::Reader& r) -> std::optional<net::Payload> {
+            return net::Payload{Request{sim::Time::ns(r.i64())}};
         });
     codecs.register_codec<Reply>(
         reply_tag,
-        [](const net::Payload& p, std::vector<std::byte>& out) {
+        [](const net::Payload& p, bytes::Writer<std::byte>& out) {
             const Reply& reply = p.get<Reply>();
-            net::wiredata::put<std::int64_t>(out, reply.t0_client.nanos());
-            net::wiredata::put<std::int64_t>(out, reply.t_server.nanos());
+            out.i64(reply.t0_client.nanos());
+            out.i64(reply.t_server.nanos());
         },
-        [](std::span<const std::byte> body) -> std::optional<net::Payload> {
-            net::wiredata::Reader r{body};
+        [](bytes::Reader& r) -> std::optional<net::Payload> {
             Reply reply;
-            reply.t0_client = sim::Time::ns(r.get<std::int64_t>());
-            reply.t_server = sim::Time::ns(r.get<std::int64_t>());
-            if (!r.ok || r.pos != body.size()) return std::nullopt;
+            reply.t0_client = sim::Time::ns(r.i64());
+            reply.t_server = sim::Time::ns(r.i64());
             return net::Payload{reply};
         });
 }

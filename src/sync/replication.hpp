@@ -106,7 +106,8 @@ public:
     AvatarReplica(const avatar::AvatarCodec& codec, JitterBufferParams jitter = {});
 
     /// Ingest an encoded update that arrived at local time `arrival`.
-    /// Deltas that arrive before any keyframe are dropped (resync pending).
+    /// Deltas that arrive before any keyframe are dropped (resync pending);
+    /// bytes the codec rejects are dropped and counted in rejected().
     void ingest(std::span<const std::uint8_t> bytes, bool keyframe, sim::Time arrival);
 
     /// Display state at local time `now` (jitter-buffered, interpolated).
@@ -124,6 +125,9 @@ public:
     [[nodiscard]] std::uint64_t dropped_waiting_keyframe() const {
         return dropped_waiting_keyframe_;
     }
+    /// Updates dropped because their bytes did not decode. Not part of
+    /// state_digest(): a well-formed run never rejects.
+    [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
 
 private:
     const avatar::AvatarCodec& codec_;
@@ -132,6 +136,7 @@ private:
     bool have_reference_{false};
     std::uint64_t decoded_{0};
     std::uint64_t dropped_waiting_keyframe_{0};
+    std::uint64_t rejected_{0};
 };
 
 }  // namespace mvc::sync

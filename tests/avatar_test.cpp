@@ -4,12 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "avatar/codec.hpp"
 #include "avatar/lod.hpp"
-#include "avatar/serialize.hpp"
 #include "avatar/skeleton.hpp"
+#include "common/bytes.hpp"
 
 namespace mvc::avatar {
 namespace {
@@ -17,28 +18,34 @@ namespace {
 // ----------------------------------------------------------------- serialize
 
 TEST(SerializeTest, WriterReaderRoundTrip) {
-    ByteWriter w;
+    std::vector<std::uint8_t> bytes;
+    bytes::Writer w{bytes};
     w.u8(7);
     w.u16(1234);
     w.u32(7654321);
     w.u64(123456789012345ULL);
     w.i16(-321);
     w.f32(2.5f);
-    const auto bytes = w.bytes();
-    ByteReader r{bytes};
+    bytes::Reader r{bytes};
     EXPECT_EQ(r.u8(), 7);
     EXPECT_EQ(r.u16(), 1234);
     EXPECT_EQ(r.u32(), 7654321u);
     EXPECT_EQ(r.u64(), 123456789012345ULL);
     EXPECT_EQ(r.i16(), -321);
     EXPECT_FLOAT_EQ(r.f32(), 2.5f);
+    EXPECT_TRUE(r.ok());
     EXPECT_TRUE(r.done());
 }
 
-TEST(SerializeTest, TruncatedReadThrows) {
+TEST(SerializeTest, TruncatedReadLatchesOk) {
     const std::vector<std::uint8_t> bytes{1, 2};
-    ByteReader r{bytes};
-    EXPECT_THROW((void)r.u32(), std::out_of_range);
+    bytes::Reader r{bytes};
+    EXPECT_EQ(r.u32(), 0u);
+    EXPECT_FALSE(r.ok());
+    // Sticky: later reads that would fit still read zero.
+    EXPECT_EQ(r.u8(), 0);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(r.done());
 }
 
 TEST(SerializeTest, Quantize16RoundTripWithinResolution) {
@@ -163,7 +170,7 @@ TEST(CodecTest, FullRoundTripWithinQuantizationBounds) {
     const AvatarCodec codec;
     const AvatarState s = sample_state();
     const auto bytes = codec.encode_full(s);
-    const AvatarState d = codec.decode_full(bytes);
+    const AvatarState d = codec.decode_full(bytes).value();
 
     EXPECT_EQ(d.participant, s.participant);
     EXPECT_EQ(d.viseme, s.viseme);
@@ -198,7 +205,7 @@ TEST(CodecTest, FullRoundTripRandomized) {
         s.root.pose.orientation = math::Quat::from_yaw_pitch_roll(ang(gen), ang(gen) / 2,
                                                                   ang(gen) / 2);
         s.body.head.position = s.root.pose.position + math::Vec3{0, 0.6, 0};
-        const AvatarState d = codec.decode_full(codec.encode_full(s));
+        const AvatarState d = codec.decode_full(codec.encode_full(s)).value();
         EXPECT_LT(d.root.pose.position.distance_to(s.root.pose.position), 0.01);
         EXPECT_LT(math::angular_distance(d.root.pose.orientation, s.root.pose.orientation),
                   0.01);
@@ -223,7 +230,7 @@ TEST(CodecTest, DeltaEncodesOnlyChangedGroups) {
     const auto full = codec.encode_full(cur);
     EXPECT_LT(delta.size(), full.size());
 
-    const AvatarState d = codec.decode_delta(ref, delta);
+    const AvatarState d = codec.decode_delta(ref, delta).value();
     EXPECT_LT(d.root.pose.position.distance_to(cur.root.pose.position), 0.01);
     EXPECT_LT(d.body.head.position.distance_to(cur.body.head.position), 0.01);
     // Unchanged fields survive from the reference.
@@ -237,7 +244,7 @@ TEST(CodecTest, DeltaVisemeOnly) {
     cur.viseme = 9;
     const auto delta = codec.encode_delta(ref, cur);
     EXPECT_LE(delta.size(), 8u);
-    EXPECT_EQ(codec.decode_delta(ref, delta).viseme, 9);
+    EXPECT_EQ(codec.decode_delta(ref, delta).value().viseme, 9);
 }
 
 TEST(CodecTest, DeltaExpressionChannelMask) {
@@ -247,7 +254,7 @@ TEST(CodecTest, DeltaExpressionChannelMask) {
     cur.expression[3] = 0.9;
     cur.expression[7] = 0.0;
     const auto delta = codec.encode_delta(ref, cur);
-    const AvatarState d = codec.decode_delta(ref, delta);
+    const AvatarState d = codec.decode_delta(ref, delta).value();
     EXPECT_NEAR(d.expression[3], 0.9, 1.0 / 255.0);
     EXPECT_NEAR(d.expression[7], 0.0, 1.0 / 255.0);
     EXPECT_NEAR(d.expression[0], ref.expression[0], 1.0 / 255.0);
@@ -256,16 +263,41 @@ TEST(CodecTest, DeltaExpressionChannelMask) {
 TEST(CodecTest, DeltaChainTracksSlowDrift) {
     const AvatarCodec codec;
     AvatarState truth = sample_state();
-    AvatarState receiver_ref = codec.decode_full(codec.encode_full(truth));
+    AvatarState receiver_ref = codec.decode_full(codec.encode_full(truth)).value();
     AvatarState sender_ref = receiver_ref;
     for (int step = 0; step < 50; ++step) {
         truth.root.pose.position += math::Vec3{0.02, 0, 0.01};
         truth.body.head.position += math::Vec3{0.02, 0, 0.01};
         const auto delta = codec.encode_delta(sender_ref, truth);
-        receiver_ref = codec.decode_delta(receiver_ref, delta);
+        receiver_ref = codec.decode_delta(receiver_ref, delta).value();
         sender_ref = receiver_ref;  // sender tracks what the receiver holds
     }
     EXPECT_LT(receiver_ref.root.pose.position.distance_to(truth.root.pose.position), 0.02);
+}
+
+TEST(CodecTest, MalformedBytesAreRejectedNotThrown) {
+    const AvatarCodec codec;
+    const AvatarState ref = sample_state();
+    const auto full = codec.encode_full(ref);
+    EXPECT_FALSE(codec.decode_full(std::vector<std::uint8_t>{0x2A}).has_value());
+    for (std::size_t n = 0; n < full.size(); ++n)
+        EXPECT_FALSE(codec.decode_full({full.data(), n}).has_value()) << "prefix " << n;
+    // Root orientation's smallest-three index (after participant, time and
+    // position) outside 0..3.
+    auto bad_quat = full;
+    bad_quat[4 + 8 + 6] = 4;
+    EXPECT_FALSE(codec.decode_full(bad_quat).has_value());
+    // A capture time (u64 microseconds after the participant) whose
+    // nanoseconds do not fit in int64.
+    auto bad_time = full;
+    std::fill(bad_time.begin() + 4, bad_time.begin() + 12, 0xFF);
+    EXPECT_FALSE(codec.decode_full(bad_time).has_value());
+
+    AvatarState cur = ref;
+    cur.root.pose.position += math::Vec3{0.5, 0, 0};
+    const auto delta = codec.encode_delta(ref, cur);
+    for (std::size_t n = 0; n < delta.size(); ++n)
+        EXPECT_FALSE(codec.decode_delta(ref, {delta.data(), n}).has_value()) << "prefix " << n;
 }
 
 // ----------------------------------------------------------------------- LOD

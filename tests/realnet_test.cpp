@@ -17,6 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "avatar/codec.hpp"
+#include "cloud/vr_client.hpp"
+#include "common/bytes.hpp"
 #include "core/wire_codecs.hpp"
 #include "fault/heartbeat.hpp"
 #include "net/real_udp.hpp"
@@ -24,6 +27,7 @@
 #include "net/wire_format.hpp"
 #include "recovery/resync.hpp"
 #include "sim/wall_clock.hpp"
+#include "sync/replication.hpp"
 #include "sync/wire.hpp"
 
 namespace mvc::net {
@@ -241,7 +245,7 @@ std::vector<std::byte> forge_list_count(Payload payload, std::size_t count_at,
     for (std::size_t i = 0; i < 4; ++i)
         (*frame)[body + count_at + i] = static_cast<std::byte>((count >> (8 * i)) & 0xFFu);
     const std::size_t crc_at = frame->size() - 4;
-    const std::uint32_t crc = crc32(std::span{*frame}.first(crc_at));
+    const std::uint32_t crc = bytes::crc32(std::span{*frame}.first(crc_at));
     for (std::size_t i = 0; i < 4; ++i)
         (*frame)[crc_at + i] = static_cast<std::byte>((crc >> (8 * i)) & 0xFFu);
     return *frame;
@@ -280,9 +284,47 @@ TEST_F(WireFormatTest, TagCollisionsThrowAndReRegistrationIsIdempotent) {
         int x;
     };
     EXPECT_THROW(WireCodecs::instance().register_codec<Foreign>(
-                     core::kTagAvatar, [](const Payload&, std::vector<std::byte>&) {},
-                     [](std::span<const std::byte>) { return std::nullopt; }),
+                     core::kTagAvatar, [](const Payload&, bytes::Writer<std::byte>&) {},
+                     [](bytes::Reader&) { return std::nullopt; }),
                  std::logic_error);
+}
+
+/// A keyframe AvatarWire whose state bytes are one byte long: a well-formed,
+/// CRC-valid frame that only the avatar codec can find fault with.
+sync::AvatarWire short_keyframe(ParticipantId who) {
+    sync::AvatarWire w;
+    w.participant = who;
+    w.source_room = ClassroomId{1};
+    w.keyframe = true;
+    w.bytes = {0x2A};
+    return w;
+}
+
+TEST_F(WireFormatTest, ShortAvatarBytesAreCountedRejectsInTheReplica) {
+    const auto frame =
+        encode_frame(make_packet(Payload{short_keyframe(ParticipantId{7})}), Priority::Realtime);
+    ASSERT_TRUE(frame.has_value());
+    const auto decoded = decode_frame(*frame);
+    ASSERT_TRUE(decoded.has_value());
+    const auto& wire = decoded->packet.payload.get<sync::AvatarWire>();
+
+    const avatar::AvatarCodec codec;
+    sync::AvatarReplica replica{codec};
+    const std::uint64_t fresh_digest = replica.state_digest();
+    replica.ingest(wire.bytes, wire.keyframe, sim::Time::ms(1));
+    // A full-length keyframe whose root quaternion index is out of range.
+    std::vector<std::uint8_t> bad_quat = codec.encode_full(avatar::AvatarState{});
+    bad_quat[4 + 8 + 6] = 7;
+    replica.ingest(bad_quat, true, sim::Time::ms(2));
+    EXPECT_EQ(replica.rejected(), 2u);
+    EXPECT_EQ(replica.decoded(), 0u);
+    EXPECT_FALSE(replica.latest().has_value());
+    EXPECT_EQ(replica.state_digest(), fresh_digest);
+
+    // The replica still takes a good keyframe afterwards.
+    replica.ingest(codec.encode_full(avatar::AvatarState{}), true, sim::Time::ms(3));
+    EXPECT_EQ(replica.decoded(), 1u);
+    EXPECT_TRUE(replica.latest().has_value());
 }
 
 // ------------------------------------------------------------ RealUdpBackend
@@ -392,6 +434,34 @@ TEST_F(RealUdpTest, ForgedBatchCountIsRejectedAndTheLoopKeepsRunning) {
     ASSERT_TRUE(pump_until(net, [&] { return delivered >= 1; }));
     EXPECT_EQ(delivered, 1);
     EXPECT_EQ(net.decode_errors(), 1u);
+}
+
+TEST_F(RealUdpTest, ShortAvatarBytesAreDroppedByAVrClientAndTheLoopKeepsRunning) {
+    RealUdpBackend net;
+    const NodeId a = net.add_node("a", Region::HongKong);
+    const NodeId b = net.add_node("b", Region::HongKong);
+    cloud::VrClient client{net, b, ParticipantId{2}, cloud::VrClientConfig{}};
+    const ParticipantId peer{7};
+
+    Packet p = make_packet(Payload{short_keyframe(peer)});
+    p.src = a;
+    p.dst = b;
+    const auto hostile = encode_frame(p, Priority::Realtime);
+    ASSERT_TRUE(hostile.has_value());
+    send_raw(net.port_of(b), *hostile);
+    ASSERT_TRUE(pump_until(net, [&] { return client.updates_received() >= 1; }));
+    EXPECT_FALSE(client.view_of(peer, net.clock().now()).has_value());
+
+    // The poll loop survived, and the same peer's next good keyframe lands.
+    const avatar::AvatarCodec codec;
+    avatar::AvatarState state;
+    state.participant = peer;
+    sync::AvatarWire good = short_keyframe(peer);
+    good.bytes = codec.encode_full(state);
+    ASSERT_TRUE(net.send(a, b, 128, std::string{sync::kAvatarFlow}, Payload{good}));
+    ASSERT_TRUE(pump_until(net, [&] { return client.updates_received() >= 2; }));
+    EXPECT_TRUE(client.view_of(peer, net.clock().now()).has_value());
+    EXPECT_EQ(net.decode_errors(), 0u);
 }
 
 TEST_F(RealUdpTest, IngressDropHookCountsAndSuppressesDelivery) {

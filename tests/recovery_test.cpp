@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "avatar/codec.hpp"
+#include "common/bytes.hpp"
 #include "core/classroom.hpp"
 #include "edge/edge_server.hpp"
 #include "edge/seats.hpp"
@@ -32,8 +33,16 @@ TEST(CheckpointCodecTest, Crc32MatchesKnownVector) {
     // The canonical IEEE 802.3 check value for "123456789".
     const std::string s = "123456789";
     const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
-    EXPECT_EQ(crc32({p, s.size()}), 0xCBF43926u);
-    EXPECT_EQ(crc32({p, std::size_t{0}}), 0x00000000u);
+    EXPECT_EQ(bytes::crc32({p, s.size()}), 0xCBF43926u);
+    EXPECT_EQ(bytes::crc32({p, std::size_t{0}}), 0x00000000u);
+    // Streaming over any split equals the one-shot CRC, for both byte types.
+    for (std::size_t cut = 0; cut <= s.size(); ++cut) {
+        EXPECT_EQ(bytes::crc32({p + cut, s.size() - cut}, bytes::crc32({p, cut})),
+                  0xCBF43926u)
+            << "split at " << cut;
+    }
+    const auto* b = reinterpret_cast<const std::byte*>(s.data());
+    EXPECT_EQ(bytes::crc32({b + 4, s.size() - 4}, bytes::crc32({b, 4})), 0xCBF43926u);
 }
 
 TEST(CheckpointCodecTest, EmptyCheckpointRoundTrips) {
@@ -176,7 +185,7 @@ TEST(CheckpointCodecTest, TruncationAndTrailingBytesRejected) {
 
 // Patch the trailing CRC so only the targeted header corruption is visible.
 std::vector<std::uint8_t> with_fixed_crc(std::vector<std::uint8_t> bytes) {
-    const std::uint32_t c = crc32({bytes.data(), bytes.size() - 4});
+    const std::uint32_t c = mvc::bytes::crc32({bytes.data(), bytes.size() - 4});
     for (int i = 0; i < 4; ++i) {
         bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(c >> (8 * i));

@@ -372,18 +372,6 @@ TEST(MetricsTest, ToJsonIsDeterministicAndComplete) {
     EXPECT_NE(json.find("\"count\": 3"), std::string::npos);
 }
 
-TEST(MetricsTest, ScopedTimerSamplesSimulatedTime) {
-    Simulator sim{1};
-    MetricsRecorder m;
-    sim.schedule_at(Time::ms(5), [] {});
-    {
-        ScopedTimer timer{m, "section_ms", sim};
-        sim.run_until(Time::ms(5));
-    }
-    ASSERT_TRUE(m.has_series("section_ms"));
-    EXPECT_DOUBLE_EQ(m.series("section_ms").mean(), 5.0);
-}
-
 TEST(MetricsTest, HandleAndStringPathsAreInterchangeable) {
     MetricsRecorder m;
     const MetricId pkts = m.counter_id("pkts");

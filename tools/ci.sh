@@ -14,9 +14,10 @@
 #   tools/ci.sh --perf     # profile preset + E17 allocation budget smoke
 #   tools/ci.sh --replay   # record a short run, fail on trace-verify error
 #                          # or replay divergence, then the E18 quick bench
-#   tools/ci.sh --realnet  # realnet unit tests under ASan+UBSan, the E19
-#                          # loopback bench (wire rate + record->replay
-#                          # divergence gate), and the two-process UDP demo
+#   tools/ci.sh --realnet  # realnet, avatar-codec and decoder-fuzz unit
+#                          # tests under ASan+UBSan, the E19 loopback bench
+#                          # (wire rate + record->replay divergence gate),
+#                          # and the two-process UDP demo
 #   tools/ci.sh --chaos    # chaos/reconnect unit tests under ASan+UBSan,
 #                          # then the E20 chaos soak (delivery/recovery SLO
 #                          # gates + same-seed determinism) in quick mode
@@ -103,10 +104,12 @@ replay_stage() {
 realnet_stage() {
   echo "==> [sanitize] configure"
   cmake --preset sanitize
-  echo "==> [sanitize] build realnet_test"
-  cmake --build --preset sanitize -j "$jobs" --target realnet_test
-  echo "==> [realnet] transport unit tests under ASan+UBSan"
-  ctest --preset sanitize -R realnet_test
+  echo "==> [sanitize] build realnet_test + avatar_test + codec_fuzz_test"
+  cmake --build --preset sanitize -j "$jobs" --target realnet_test \
+    --target avatar_test --target codec_fuzz_test
+  echo "==> [realnet] transport, avatar-codec and decoder-fuzz tests under ASan+UBSan"
+  ctest --preset sanitize --no-tests=error \
+    -R '^(WallClockTest|WireFormatTest|RealUdpTest|SerializeTest|CodecTest|CodecFuzzTest)\.'
   echo "==> [default] configure"
   cmake --preset default
   echo "==> [default] build bench_e19_realnet + realnet_demo"
