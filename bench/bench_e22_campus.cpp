@@ -134,7 +134,7 @@ int main() {
     }
     const double ablation_seconds = quick ? 0.5 : 1.0;
     core::CampusConfig baseline_cfg = small;
-    baseline_cfg.aggregate = false;
+    baseline_cfg.aggregate_interval = sim::Time::zero();
     const RunResult aggregated = run(small, 1, ablation_seconds);
     const RunResult fanout = run(baseline_cfg, 1, ablation_seconds);
     const double agg_bpa = bytes_per_avatar(aggregated);

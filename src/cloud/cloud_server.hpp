@@ -16,14 +16,12 @@
 #include <string>
 #include <vector>
 
-#include "cloud/fanout.hpp"
 #include "cloud/vr_layout.hpp"
 #include "fault/heartbeat.hpp"
 #include "net/channel.hpp"
 #include "recovery/admission.hpp"
 #include "recovery/checkpointer.hpp"
-#include "sync/aggregator.hpp"
-#include "sync/batcher.hpp"
+#include "sync/egress.hpp"
 #include "sync/wire.hpp"
 
 namespace mvc::cloud {
@@ -53,16 +51,9 @@ struct CloudServerConfig {
     /// queue + hysteresis gate shedding never-seen late-joining streams).
     recovery::AdmissionParams admission{};
     /// Coalesce relay/peer egress into one batch packet per destination per
-    /// interval (zero = per-update packets). Client fan-out stays unbatched
-    /// unless egress aggregation (below) is enabled.
+    /// interval (zero = per-update packets). Client fan-out is always one
+    /// packet per update.
     sim::Time batch_interval{};
-    /// Aggregate client fan-out: dirty deltas accumulate for one interval,
-    /// are grouped by interest-grid cell, and each client receives one
-    /// tier-selected batch per interval (sync::CellDeltaAggregator) instead
-    /// of one packet per update. Zero keeps the per-update fan-out.
-    sim::Time aggregate_interval{};
-    /// Cell edge length for egress aggregation (metres).
-    double aggregate_cell_size{8.0};
 };
 
 class CloudServer {
@@ -101,19 +92,16 @@ public:
     void stop();
 
     [[nodiscard]] std::uint64_t messages_in() const { return messages_in_; }
-    [[nodiscard]] std::uint64_t messages_out() const { return messages_out_; }
-    [[nodiscard]] std::uint64_t egress_bytes() const { return egress_bytes_; }
-    [[nodiscard]] const InterestFanout& fanout() const { return fanout_; }
+    [[nodiscard]] std::uint64_t messages_out() const { return egress_.messages_out(); }
+    [[nodiscard]] std::uint64_t egress_bytes() const { return egress_.egress_bytes(); }
+    /// Client fan-out and relay/peer batching.
+    [[nodiscard]] const sync::Egress& egress() const { return egress_; }
     /// Mean queueing delay experienced by inbound messages (ms).
     [[nodiscard]] double mean_queue_delay_ms() const;
     /// Updates forwarded on behalf of an edge whose peer link was dead.
     [[nodiscard]] std::uint64_t relayed_for_failover() const { return relayed_failover_; }
     /// Heartbeat monitor; nullptr when heartbeats are disabled.
     [[nodiscard]] fault::HeartbeatMonitor* heartbeat() { return hb_.get(); }
-    /// Relay/peer-bound batcher; nullptr when batching is off.
-    [[nodiscard]] sync::WireBatcher* batcher() { return batcher_.get(); }
-    /// Client-bound egress aggregator; nullptr when aggregation is off.
-    [[nodiscard]] sync::CellDeltaAggregator* aggregator() { return aggregator_.get(); }
 
     // ----- crash recovery / overload admission ------------------------------
 
@@ -154,22 +142,16 @@ private:
     CloudServerConfig config_;
     MetricIds ids_;
     net::PacketDemux demux_;
-    net::Channel avatar_tx_;
+    sync::Egress egress_;
     VrLayout layout_;
-    InterestFanout fanout_;
     std::map<net::NodeId, Client> clients_;
     std::map<ParticipantId, std::size_t> seats_;
     std::vector<net::NodeId> relays_;
     std::vector<net::NodeId> peers_;
     std::unique_ptr<fault::HeartbeatMonitor> hb_;
-    std::unique_ptr<sync::WireBatcher> batcher_;
-    std::unique_ptr<sync::CellDeltaAggregator> aggregator_;
-    std::vector<net::NodeId> fanout_scratch_;
     std::size_t next_seat_{0};
     sim::Time busy_until_{};
     std::uint64_t messages_in_{0};
-    std::uint64_t messages_out_{0};
-    std::uint64_t egress_bytes_{0};
     std::uint64_t relayed_failover_{0};
     double queue_delay_accum_ms_{0.0};
 

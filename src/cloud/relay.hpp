@@ -13,8 +13,7 @@
 #include "cloud/cloud_server.hpp"
 #include "net/network.hpp"
 #include "recovery/resync.hpp"
-#include "sync/aggregator.hpp"
-#include "sync/batcher.hpp"
+#include "sync/egress.hpp"
 
 namespace mvc::cloud {
 
@@ -34,8 +33,6 @@ struct RelayConfig {
     /// tier-selected batch per interval (sync::CellDeltaAggregator) instead
     /// of one packet per update. Zero keeps the per-update fan-out.
     sim::Time aggregate_interval{};
-    /// Cell edge length for egress aggregation (metres).
-    double aggregate_cell_size{8.0};
     /// Serve resync snapshots to reconnecting clients from a cache of each
     /// participant's most recent keyframe update. The relay is not
     /// authoritative for any avatar, but it is the node a recovering client
@@ -68,12 +65,10 @@ public:
     void upsert_entity(ParticipantId who, const math::Vec3& position);
 
     [[nodiscard]] std::uint64_t messages_in() const { return messages_in_; }
-    [[nodiscard]] std::uint64_t messages_out() const { return messages_out_; }
-    [[nodiscard]] std::uint64_t egress_bytes() const { return egress_bytes_; }
-    /// Origin-bound batcher; nullptr when batching is off.
-    [[nodiscard]] sync::WireBatcher* batcher() { return batcher_.get(); }
-    /// Client-bound egress aggregator; nullptr when aggregation is off.
-    [[nodiscard]] sync::CellDeltaAggregator* aggregator() { return aggregator_.get(); }
+    [[nodiscard]] std::uint64_t messages_out() const { return egress_.messages_out(); }
+    [[nodiscard]] std::uint64_t egress_bytes() const { return egress_.egress_bytes(); }
+    /// Client fan-out / aggregation and origin-bound batching.
+    [[nodiscard]] sync::Egress& egress() { return egress_; }
     /// Resync responder; nullptr when serve_resync is off.
     [[nodiscard]] recovery::ResyncResponder* resync_responder() {
         return resync_responder_.get();
@@ -86,10 +81,7 @@ private:
     net::NodeId node_;
     RelayConfig config_;
     net::PacketDemux demux_;
-    net::Channel avatar_tx_;
-    InterestFanout fanout_;
-    std::unique_ptr<sync::WireBatcher> batcher_;
-    std::unique_ptr<sync::CellDeltaAggregator> aggregator_;
+    sync::Egress egress_;
     std::unique_ptr<recovery::ResyncResponder> resync_responder_;
     /// Latest keyframe seen per participant (bytes + capture time), the
     /// source for resync snapshots.
@@ -101,16 +93,12 @@ private:
     std::map<ParticipantId, CachedKeyframe> keyframes_;
     net::NodeId origin_{net::kInvalidNode};
     std::map<net::NodeId, ParticipantId> clients_;
-    std::vector<net::NodeId> fanout_scratch_;
     sim::Time busy_until_{};
     std::uint64_t messages_in_{0};
-    std::uint64_t messages_out_{0};
-    std::uint64_t egress_bytes_{0};
 
     void handle_avatar_packet(net::Packet&& p);
     void handle_avatar_batch(net::Packet&& p);
     void ingest(sync::AvatarWire&& wire, bool from_origin);
-    void fan_out(const sync::AvatarWire& wire);
     sim::Time charge(sim::Time amount);
 };
 

@@ -24,6 +24,9 @@ std::size_t grid_dim(std::size_t count) {
 constexpr double kClassroomPitchM = 14.0;
 constexpr double kSeatSpacingM = 1.2;
 
+/// Batch interval of the cross-shard mirror to the origin.
+constexpr sim::Time kMirrorInterval = sim::Time::ms(50);
+
 math::Vec3 classroom_center(std::size_t room, std::size_t rooms_per_building) {
     const std::size_t dim = grid_dim(rooms_per_building);
     return {static_cast<double>(room % dim) * kClassroomPitchM, 0.0,
@@ -83,20 +86,11 @@ void CampusWorld::build_building(std::size_t index) {
     world_.connect_cross(gw, origin_, net::LinkParams{.latency = sim::Time::ms(5)});
     b.origin_proxy = world_.proxy_in(shard, origin_);
 
-    if (config_.aggregate) {
-        b.aggregator = std::make_unique<sync::CellDeltaAggregator>(
-            net, b.gateway, config_.aggregate_interval, config_.cell_size_m,
-            config_.interest);
-    } else {
-        b.tx = std::make_unique<net::Channel>(net.open_channel(
-            {.src = b.gateway,
-             .flow = std::string{sync::kAvatarFlow},
-             .options = {.priority = net::Priority::Realtime}}));
-    }
-    if (config_.mirror_stride != 0) {
-        b.mirror = std::make_unique<sync::WireBatcher>(net, b.gateway,
-                                                       config_.mirror_interval);
-    }
+    b.egress.emplace(net, b.gateway,
+                     sync::EgressParams{.interest = config_.interest,
+                                        .batch_interval = kMirrorInterval,
+                                        .aggregate_interval = config_.aggregate_interval,
+                                        .cell_size = config_.cell_size_m});
 
     // Viewer nodes: receiving clients parked at classroom centres, one metro
     // hop from the gateway.
@@ -135,7 +129,7 @@ void CampusWorld::build_building(std::size_t index) {
                                   fold_wire(me.digest, wire);
                               }
                           });
-        if (b.aggregator) b.aggregator->add_viewer(ve.node, ve.self, ve.position);
+        b.egress->add_viewer(ve.node, ve.self, ve.position);
     }
 
     // Avatars: SoA rows seeded at their seats; the add() dirty bit ships the
@@ -155,9 +149,6 @@ void CampusWorld::build_building(std::size_t index) {
         }
     }
     b.last_sent.assign(per_building, math::Vec3::zero());
-    if (!config_.aggregate) {
-        b.next_due.assign(config_.viewers_per_building * per_building, sim::Time{});
-    }
 
     net.clock().schedule_every(sim::Time::seconds(1.0 / config_.tick_rate_hz),
                                [this, bptr] { tick(*bptr); });
@@ -209,35 +200,9 @@ void CampusWorld::tick(Building& b) {
                            /*keyframe=*/false, std::move(bytes), now};
         w.seq = seqs[i];
 
-        if (b.mirror && i % config_.mirror_stride == 0)
-            b.mirror->enqueue(b.origin_proxy, w);
-
-        if (b.aggregator) {
-            b.aggregator->enqueue(pos[i], std::move(w));
-            continue;
-        }
-
-        // Baseline: one tier check, one rate clock, one packet per viewer.
-        const std::size_t size = w.wire_bytes();
-        const net::Payload shared{std::move(w)};
-        for (std::size_t vi = 0; vi < b.viewers.size(); ++vi) {
-            const ViewerEndpoint& v = b.viewers[vi];
-            const double dist = (pos[i] - v.position).norm();
-            const sync::InterestTier* tier = config_.interest.tier_for(dist);
-            if (tier == nullptr) {
-                ++b.suppressed_aoi;
-                continue;
-            }
-            sim::Time& due = b.next_due[vi * n + i];
-            if (now < due) {
-                ++b.suppressed_rate;
-                continue;
-            }
-            due = now + sim::Time::seconds(1.0 / tier->update_rate_hz);
-            ++b.baseline_sends;
-            b.baseline_egress_bytes += size + net::kHeaderBytes;
-            b.tx->send_to(v.node, size, shared);
-        }
+        if (config_.mirror_stride != 0 && i % config_.mirror_stride == 0)
+            b.egress->to_node(b.origin_proxy, sync::AvatarWire{w});
+        b.egress->to_viewers(pos[i], std::move(w));
     }
     b.pool.clear_dirty();
     ++b.ticks;
@@ -259,17 +224,9 @@ std::size_t CampusWorld::viewer_count() const {
     return total;
 }
 
-std::uint64_t CampusWorld::client_egress_bytes(const Building& b) const {
-    if (b.aggregator) {
-        const sync::WireBatcher& wb = b.aggregator->batcher();
-        return wb.bytes_sent() + wb.batches_sent() * net::kHeaderBytes;
-    }
-    return b.baseline_egress_bytes;
-}
-
 std::uint64_t CampusWorld::egress_bytes() const {
     std::uint64_t total = 0;
-    for (const auto& b : buildings_) total += client_egress_bytes(*b);
+    for (const auto& b : buildings_) total += b->egress->client_bytes();
     return total;
 }
 
@@ -282,24 +239,19 @@ std::uint64_t CampusWorld::viewer_updates() const {
 
 std::uint64_t CampusWorld::updates_shipped() const {
     std::uint64_t total = 0;
-    for (const auto& b : buildings_)
-        total += b->aggregator ? b->aggregator->updates_shipped() : b->baseline_sends;
+    for (const auto& b : buildings_) total += b->egress->updates_shipped();
     return total;
 }
 
 std::uint64_t CampusWorld::suppressed_by_aoi() const {
     std::uint64_t total = 0;
-    for (const auto& b : buildings_)
-        total += b->suppressed_aoi +
-                 (b->aggregator ? b->aggregator->suppressed_by_aoi() : 0);
+    for (const auto& b : buildings_) total += b->egress->suppressed_by_aoi();
     return total;
 }
 
 std::uint64_t CampusWorld::suppressed_by_rate() const {
     std::uint64_t total = 0;
-    for (const auto& b : buildings_)
-        total += b->suppressed_rate +
-                 (b->aggregator ? b->aggregator->suppressed_by_rate() : 0);
+    for (const auto& b : buildings_) total += b->egress->suppressed_by_rate();
     return total;
 }
 

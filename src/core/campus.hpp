@@ -3,12 +3,13 @@
 // runnable world. A campus is B buildings, each its own shard: every
 // building sweeps its avatars through a core::AvatarPool (SoA columns),
 // re-buckets them in a flat sync::InterestGrid, and egresses dirty deltas
-// to that building's viewer nodes — either through the per-update fan-out
-// baseline (one tier check and one packet per (update, viewer) pair) or
-// through sync::CellDeltaAggregator (per-cell grouping, one coalesced batch
-// per viewer per interval). A thin cross-shard mirror ships a strided
-// sample of every building's updates to the origin shard, so the flat
-// proxy-table deliver path stays on the hot path too.
+// to that building's viewer nodes through the same sync::Egress the
+// servers use — either per-update fan-out (one tier check and one packet per
+// (update, viewer) pair, the ablation baseline) or cell-delta aggregation
+// (per-cell grouping, one coalesced batch per viewer per interval). A thin
+// cross-shard mirror ships a strided sample of every building's updates to
+// the origin shard, so the flat proxy-table deliver path stays on the hot
+// path too.
 //
 // Everything is deterministic for any worker-thread count: avatar motion is
 // stateless in (seed, index, t) (session::CrowdMotion), per-shard event
@@ -17,15 +18,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/avatar_pool.hpp"
 #include "core/sharded_world.hpp"
-#include "net/channel.hpp"
 #include "session/behaviour.hpp"
-#include "sync/aggregator.hpp"
-#include "sync/batcher.hpp"
+#include "sync/egress.hpp"
 #include "sync/interest.hpp"
 
 namespace mvc::core {
@@ -43,14 +43,12 @@ struct CampusConfig {
     /// Positions that moved less than this since the last shipped update
     /// are not re-sent (the dirty threshold of the SoA sweep).
     double dirty_threshold_m{0.02};
-    /// true = cell-delta aggregated egress; false = per-update fan-out
+    /// Cell-delta aggregated egress interval; zero = per-update fan-out
     /// baseline (the ablation the bytes/avatar claim is measured against).
-    bool aggregate{true};
     sim::Time aggregate_interval{sim::Time::ms(50)};
     /// Every stride-th avatar's updates are mirrored cross-shard to the
     /// origin (batched); 0 disables the mirror.
     std::size_t mirror_stride{64};
-    sim::Time mirror_interval{sim::Time::ms(50)};
     std::uint64_t seed{42};
     sync::InterestPolicy interest{};
     session::CrowdMotion motion{};
@@ -80,7 +78,7 @@ public:
     [[nodiscard]] const CampusConfig& config() const { return config_; }
 
     /// Client-bound egress bytes (payload + packet headers), summed over
-    /// buildings; the aggregated/baseline comparison surface.
+    /// buildings; the aggregated/fan-out comparison surface.
     [[nodiscard]] std::uint64_t egress_bytes() const;
     /// Updates delivered into viewer handlers, summed over viewers.
     [[nodiscard]] std::uint64_t viewer_updates() const;
@@ -127,18 +125,11 @@ private:
         std::vector<math::Vec3> anchors;
         std::vector<math::Vec3> last_sent;
         std::vector<ViewerEndpoint> viewers;
-        std::unique_ptr<net::Channel> tx;  // baseline per-update sends
-        std::unique_ptr<sync::CellDeltaAggregator> aggregator;
-        std::unique_ptr<sync::WireBatcher> mirror;
-        /// Baseline per-(viewer, avatar) rate clocks, flat [v * n + i].
-        std::vector<sim::Time> next_due;
+        /// Viewer-bound updates and the batched origin mirror.
+        std::optional<sync::Egress> egress;
         std::vector<EntityId> query_scratch;
         std::uint64_t ticks{0};
         std::uint64_t updates_generated{0};
-        std::uint64_t baseline_sends{0};
-        std::uint64_t baseline_egress_bytes{0};
-        std::uint64_t suppressed_aoi{0};
-        std::uint64_t suppressed_rate{0};
         std::uint64_t query_hits{0};
     };
 
@@ -152,7 +143,6 @@ private:
 
     void build_building(std::size_t index);
     void tick(Building& b);
-    [[nodiscard]] std::uint64_t client_egress_bytes(const Building& b) const;
     static void fold_wire(std::uint64_t& digest, const sync::AvatarWire& wire);
 };
 

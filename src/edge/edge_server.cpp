@@ -33,9 +33,7 @@ EdgeServer::EdgeServer(net::Backend& net, net::NodeId node, EdgeServerConfig con
                "recovery.cold_start", {{"server", config_.name}})},
       seats_(std::move(seats)),
       demux_(net, node),
-      avatar_tx_(net.open_channel({.src = node_,
-                                   .flow = std::string{sync::kAvatarFlow},
-                                   .options = {.priority = net::Priority::Realtime}})),
+      egress_(net, node_, {.batch_interval = config_.batch_interval}),
       codec_(config_.codec_bounds),
       fusion_(config_.fusion),
       retargeter_(config_.retarget),
@@ -46,10 +44,6 @@ EdgeServer::EdgeServer(net::Backend& net, net::NodeId node, EdgeServerConfig con
                    [this](net::Packet&& p) { handle_avatar_packet(std::move(p)); });
     demux_.on_flow(std::string{sync::kAvatarBatchFlow},
                    [this](net::Packet&& p) { handle_avatar_batch(std::move(p)); });
-    if (config_.batch_interval > sim::Time::zero()) {
-        batcher_ = std::make_unique<sync::WireBatcher>(net_, node_,
-                                                       config_.batch_interval);
-    }
     net_.context(node_).bind<EdgeServer>(this);
     if (config_.heartbeat.enabled) {
         hb_ = std::make_unique<fault::HeartbeatMonitor>(
@@ -134,7 +128,6 @@ void EdgeServer::publish(ParticipantId who, std::vector<std::uint8_t> bytes, boo
     sync::AvatarWire wire{who, config_.room, keyframe, std::move(bytes), captured_at, {}};
     if (const auto lp = locals_.find(who); lp != locals_.end())
         wire.seq = ++lp->second.next_seq;
-    const std::size_t wire_size = wire.wire_bytes();
     // Failover routing: peers whose direct link is dead receive this update
     // through the cloud relay instead (piggybacked on the relay's own copy).
     std::vector<std::uint32_t> relay_to;
@@ -147,24 +140,15 @@ void EdgeServer::publish(ParticipantId who, std::vector<std::uint8_t> bytes, boo
     const net::Payload shared{wire};
     for (const PeerLink& peer : peers_) {
         if (!peer.alive) continue;
-        ++packets_out_;
         if (peer.node == cloud_relay_ && !relay_to.empty()) {
             sync::AvatarWire copy = wire;
             copy.relay_to = relay_to;
             relayed_out_ += relay_to.size();
             net_.metrics().count(ids_.relayed_out, relay_to.size());
-            if (batcher_) {
-                batcher_->enqueue(peer.node, std::move(copy));
-            } else {
-                avatar_tx_.send_to(peer.node, copy.wire_bytes(), std::move(copy));
-            }
+            egress_.to_node(peer.node, std::move(copy));
             continue;
         }
-        if (batcher_) {
-            batcher_->enqueue(peer.node, wire);
-        } else {
-            avatar_tx_.send_to(peer.node, wire_size, shared);
-        }
+        egress_.to_node(peer.node, shared);
     }
 }
 
@@ -457,7 +441,7 @@ std::uint64_t EdgeServer::state_digest() const {
     for (const auto& [who, seat] : reserved_seats_) h.u32(who.value()).size(seat);
     for (const auto& s : seats_.seats())
         h.boolean(s.occupied).u32(s.occupied ? s.occupant.value() : 0);
-    h.u64(packets_in_).u64(packets_out_).u64(seats_exhausted_).u64(relayed_out_);
+    h.u64(packets_in_).u64(egress_.messages_out()).u64(seats_exhausted_).u64(relayed_out_);
     h.u64(shed_).u64(queue_dropped_).u64(restores_).u64(cold_starts_);
     h.size(ingress_.size()).size(admitted_.size());
     return h.digest();

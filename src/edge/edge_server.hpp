@@ -40,12 +40,12 @@
 #include "fault/degradation.hpp"
 #include "fault/heartbeat.hpp"
 #include "net/channel.hpp"
-#include "sync/batcher.hpp"
 #include "recovery/admission.hpp"
 #include "recovery/checkpointer.hpp"
 #include "recovery/reconnect.hpp"
 #include "recovery/resync.hpp"
 #include "sensing/fusion.hpp"
+#include "sync/egress.hpp"
 #include "sync/replication.hpp"
 #include "sync/wire.hpp"
 
@@ -139,7 +139,7 @@ public:
 
     [[nodiscard]] const sensing::PoseFusion& fusion() const { return fusion_; }
     [[nodiscard]] std::uint64_t avatar_packets_in() const { return packets_in_; }
-    [[nodiscard]] std::uint64_t avatar_packets_out() const { return packets_out_; }
+    [[nodiscard]] std::uint64_t avatar_packets_out() const { return egress_.messages_out(); }
     [[nodiscard]] std::uint64_t seats_exhausted() const { return seats_exhausted_; }
 
     /// Heartbeat monitor; nullptr when heartbeats are disabled.
@@ -238,7 +238,7 @@ private:
     MetricIds ids_;
     SeatMap seats_;
     net::PacketDemux demux_;
-    net::Channel avatar_tx_;
+    sync::Egress egress_;
     avatar::AvatarCodec codec_;
     sensing::PoseFusion fusion_;
     PoseRetargeter retargeter_;
@@ -248,7 +248,6 @@ private:
     std::vector<PeerLink> peers_;
     net::NodeId cloud_relay_{net::kInvalidNode};
     std::unique_ptr<fault::HeartbeatMonitor> hb_;
-    std::unique_ptr<sync::WireBatcher> batcher_;
     fault::DegradationPolicy degrade_;
     fault::PathHealth health_;
     std::map<net::NodeId, std::unique_ptr<recovery::Reconnector>> reconnectors_;
@@ -256,7 +255,6 @@ private:
     bool running_{false};
     sim::Time busy_until_{};
     std::uint64_t packets_in_{0};
-    std::uint64_t packets_out_{0};
     std::uint64_t seats_exhausted_{0};
     std::uint64_t relayed_out_{0};
 

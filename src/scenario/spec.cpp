@@ -717,6 +717,9 @@ void validate_spec(const ScenarioSpec& spec) {
                     throw SpecError("campus.pooled", "buildings must hold avatars");
                 if (p.tick_rate_hz <= 0.0)
                     throw SpecError("campus.pooled.tick_rate_hz", "must be > 0");
+                if (p.aggregate && p.aggregate_interval <= sim::Time::zero())
+                    throw SpecError("campus.pooled.aggregate_ms",
+                                    "must be > 0 when aggregate is true");
             } else if (spec.campus.regions.empty()) {
                 throw SpecError("campus.regions", "needs at least one region");
             }

@@ -215,7 +215,7 @@ void ScenarioWorld::build_relay() {
     st.relay = std::make_unique<cloud::RelayServer>(*st.backend, st.relay_node, rc);
     if (spec_.qoe.enabled) {
         st.qoe = std::make_unique<qoe::QoeService>(*st.backend, st.relay->demux());
-        st.qoe->set_aggregator(st.relay->aggregator());
+        st.qoe->set_aggregator(st.relay->egress().aggregator());
     }
 
     st.mirror = std::make_unique<replay::AvatarMirror>();
@@ -311,8 +311,8 @@ void ScenarioWorld::build_campus() {
         cc.avatars_per_classroom = c.pooled.avatars_per_classroom;
         cc.viewers_per_building = c.pooled.viewers_per_building;
         cc.tick_rate_hz = c.pooled.tick_rate_hz;
-        cc.aggregate = c.pooled.aggregate;
-        cc.aggregate_interval = c.pooled.aggregate_interval;
+        cc.aggregate_interval =
+            c.pooled.aggregate ? c.pooled.aggregate_interval : sim::Time::zero();
         cc.seed = spec_.seed;
         st.pooled = std::make_unique<core::CampusWorld>(std::move(cc));
         return;
@@ -586,7 +586,7 @@ sim::MetricsRecorder ScenarioWorld::collect_metrics() const {
             out.count("qoe.feedback_received", st.qoe->feedback_received());
             out.count("qoe.rung_changes", st.qoe->rung_changes());
             out.count("qoe.frames_sent", st.qoe->frames_sent());
-            if (sync::CellDeltaAggregator* agg = st.relay->aggregator())
+            if (sync::CellDeltaAggregator* agg = st.relay->egress().aggregator())
                 out.count("sync.suppressed_budget", agg->suppressed_by_budget());
         }
     } else if (campus_state_) {

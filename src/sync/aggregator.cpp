@@ -8,12 +8,12 @@ namespace mvc::sync {
 
 CellDeltaAggregator::CellDeltaAggregator(net::Backend& net, net::NodeId src,
                                          sim::Time interval, double cell_size,
-                                         InterestPolicy policy, net::Priority priority)
+                                         InterestPolicy policy)
     : net_(net),
       policy_(std::move(policy)),
       cell_size_(cell_size),
       interval_(interval),
-      batcher_(net, src, interval, priority) {
+      batcher_(net, src, interval) {
     if (cell_size <= 0.0)
         throw std::invalid_argument("CellDeltaAggregator: cell size > 0");
 }
@@ -38,11 +38,6 @@ void CellDeltaAggregator::add_viewer(net::NodeId node, ParticipantId self,
     v.admitted.assign(policy_.tiers().size(), 0);
     v.shipped.assign(policy_.tiers().size(), 0);
     viewers_.insert(it, std::move(v));
-}
-
-void CellDeltaAggregator::update_viewer(net::NodeId node, const math::Vec3& position) {
-    auto it = find_viewer(node);
-    if (it != viewers_.end() && it->node == node) it->position = position;
 }
 
 void CellDeltaAggregator::set_viewer_qoe(net::NodeId node, const math::Vec3& gaze,
@@ -128,7 +123,6 @@ void CellDeltaAggregator::flush() {
         const InterestGrid::Cell cell = keys_[i].cell;
         std::size_t j = i + 1;
         while (j < keys_.size() && keys_[j].cell == cell) ++j;
-        ++cells_flushed_;
         const std::uint64_t run = j - i;
         const math::Vec3 lo{cell.x * cell_size_, cell.y * cell_size_,
                             cell.z * cell_size_};

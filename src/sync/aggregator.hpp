@@ -39,8 +39,7 @@ public:
     /// and shipped from `src` every `interval` to the viewers whose `policy`
     /// tiers select their cell.
     CellDeltaAggregator(net::Backend& net, net::NodeId src, sim::Time interval,
-                        double cell_size, InterestPolicy policy = {},
-                        net::Priority priority = net::Priority::Realtime);
+                        double cell_size, InterestPolicy policy = {});
 
     CellDeltaAggregator(const CellDeltaAggregator&) = delete;
     CellDeltaAggregator& operator=(const CellDeltaAggregator&) = delete;
@@ -48,8 +47,8 @@ public:
     /// Register / re-position / drop a receiving viewer. `self` suppresses
     /// echoing a viewer's own avatar back to it.
     void add_viewer(net::NodeId node, ParticipantId self, const math::Vec3& position);
-    void update_viewer(net::NodeId node, const math::Vec3& position);
     void remove_viewer(net::NodeId node);
+    void clear_viewers() { viewers_.clear(); }
     [[nodiscard]] std::size_t viewer_count() const { return viewers_.size(); }
 
     /// Attach QoE-driven attention state to a viewer (see qoe::BudgetAllocator):
@@ -72,11 +71,9 @@ public:
     /// and ship one batch per destination now.
     void flush();
 
-    [[nodiscard]] sim::Time interval() const { return interval_; }
     [[nodiscard]] const WireBatcher& batcher() const { return batcher_; }
     [[nodiscard]] std::uint64_t updates_enqueued() const { return updates_enqueued_; }
     [[nodiscard]] std::uint64_t updates_shipped() const { return updates_shipped_; }
-    [[nodiscard]] std::uint64_t cells_flushed() const { return cells_flushed_; }
     [[nodiscard]] std::uint64_t suppressed_by_aoi() const { return suppressed_aoi_; }
     [[nodiscard]] std::uint64_t suppressed_by_rate() const { return suppressed_rate_; }
     /// Runs suppressed because a QoE rate scale was zero for the tier.
@@ -124,7 +121,6 @@ private:
     bool armed_{false};
     std::uint64_t updates_enqueued_{0};
     std::uint64_t updates_shipped_{0};
-    std::uint64_t cells_flushed_{0};
     std::uint64_t suppressed_aoi_{0};
     std::uint64_t suppressed_rate_{0};
     std::uint64_t suppressed_budget_{0};

@@ -4,12 +4,11 @@
 
 namespace mvc::sync {
 
-WireBatcher::WireBatcher(net::Backend& net, net::NodeId src, sim::Time interval,
-                         net::Priority priority)
+WireBatcher::WireBatcher(net::Backend& net, net::NodeId src, sim::Time interval)
     : net_(net),
       tx_(net.open_channel({.src = src,
                             .flow = std::string{kAvatarBatchFlow},
-                            .options = {.priority = priority}})),
+                            .options = {.priority = net::Priority::Realtime}})),
       interval_(interval) {}
 
 void WireBatcher::enqueue(net::NodeId dst, AvatarWire wire) {

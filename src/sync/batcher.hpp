@@ -21,9 +21,9 @@ namespace mvc::sync {
 
 class WireBatcher {
 public:
-    /// Batches are sent from `src` on kAvatarBatchFlow every `interval`.
-    WireBatcher(net::Backend& net, net::NodeId src, sim::Time interval,
-                net::Priority priority = net::Priority::Realtime);
+    /// Batches are sent from `src` on kAvatarBatchFlow (realtime priority)
+    /// every `interval`.
+    WireBatcher(net::Backend& net, net::NodeId src, sim::Time interval);
 
     WireBatcher(const WireBatcher&) = delete;
     WireBatcher& operator=(const WireBatcher&) = delete;
@@ -33,7 +33,6 @@ public:
     /// Ship all pending batches now (also runs on every timer expiry).
     void flush();
 
-    [[nodiscard]] sim::Time interval() const { return interval_; }
     [[nodiscard]] std::uint64_t batches_sent() const { return batches_sent_; }
     [[nodiscard]] std::uint64_t updates_batched() const { return updates_batched_; }
     [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }

@@ -1,19 +1,19 @@
-#include "cloud/fanout.hpp"
+#include "sync/fanout.hpp"
 
 #include <algorithm>
 
-namespace mvc::cloud {
+namespace mvc::sync {
 
 namespace {
 /// Grid cells sized so an 80 m replication horizon spans a handful of cells
 /// per axis: coarse enough that the query walks tens of buckets, fine enough
 /// that far viewers are pruned without an exact distance check.
-double viewer_cell_size(const sync::InterestPolicy& policy) {
+double viewer_cell_size(const InterestPolicy& policy) {
     return std::max(1.0, policy.max_range() / 2.5);
 }
 }  // namespace
 
-InterestFanout::InterestFanout(sync::InterestPolicy policy, bool enabled)
+InterestFanout::InterestFanout(InterestPolicy policy, bool enabled)
     : policy_(std::move(policy)),
       enabled_(enabled),
       viewer_grid_(viewer_cell_size(policy_)) {}
@@ -24,9 +24,9 @@ void InterestFanout::upsert_entity(ParticipantId entity, const math::Vec3& posit
 
 void InterestFanout::remove_entity(ParticipantId entity) { entities_.erase(entity); }
 
-const math::Vec3* InterestFanout::entity_position(ParticipantId entity) const {
+math::Vec3 InterestFanout::entity_position(ParticipantId entity) const {
     const auto it = entities_.find(entity);
-    return it == entities_.end() ? nullptr : &it->second;
+    return it == entities_.end() ? math::Vec3::zero() : it->second;
 }
 
 std::vector<Viewer>::iterator InterestFanout::viewer_at(net::NodeId node) {
@@ -49,12 +49,14 @@ void InterestFanout::remove_viewer(net::NodeId node) {
     viewer_grid_.remove(EntityId{node});
 }
 
-void InterestFanout::due_targets_into(ParticipantId entity, sim::Time now,
-                                      std::vector<net::NodeId>& out) {
+void InterestFanout::clear_viewers() {
+    for (const Viewer& v : viewers_) viewer_grid_.remove(EntityId{v.node});
+    viewers_.clear();
+}
+
+void InterestFanout::due_targets_into(ParticipantId entity, const math::Vec3& entity_pos,
+                                      sim::Time now, std::vector<net::NodeId>& out) {
     out.clear();
-    const auto ent = entities_.find(entity);
-    const math::Vec3 entity_pos =
-        ent != entities_.end() ? ent->second : math::Vec3::zero();
 
     if (!enabled_) {
         for (const Viewer& v : viewers_) {
@@ -74,18 +76,17 @@ void InterestFanout::due_targets_into(ParticipantId entity, sim::Time now,
         const Viewer& v = *it;
         if (v.self == entity) continue;
         const double distance = (v.position - entity_pos).norm();
-        const sync::InterestTier* tier = policy_.tier_for(distance);
+        const InterestTier* tier = policy_.tier_for(distance);
         if (tier == nullptr) {
             ++suppressed_aoi_;
             continue;
         }
-        const std::uint64_t key = pair_key(v.node, entity);
-        const auto due = next_due_.find(key);
-        if (due != next_due_.end() && now < due->second) {
+        const auto [due, first] = next_due_.try_emplace(pair_key(v.node, entity));
+        if (!first && now < due->second) {
             ++suppressed_rate_;
             continue;
         }
-        next_due_[key] = now + sim::Time::seconds(1.0 / tier->update_rate_hz);
+        due->second = now + sim::Time::seconds(1.0 / tier->update_rate_hz);
         out.push_back(v.node);
     }
 }
@@ -93,8 +94,8 @@ void InterestFanout::due_targets_into(ParticipantId entity, sim::Time now,
 std::vector<net::NodeId> InterestFanout::due_targets(ParticipantId entity,
                                                      sim::Time now) {
     std::vector<net::NodeId> out;
-    due_targets_into(entity, now, out);
+    due_targets_into(entity, entity_position(entity), now, out);
     return out;
 }
 
-}  // namespace mvc::cloud
+}  // namespace mvc::sync

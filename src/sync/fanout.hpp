@@ -1,8 +1,8 @@
 #pragma once
-// Interest-gated fan-out bookkeeping shared by the cloud server and the
-// regional relays: which attached viewers should receive an update for a
-// given entity right now, at which tier rate, given the VR-classroom seat
-// geometry. Viewers are indexed in a sync::InterestGrid, so the per-update
+// Interest-gated per-update fan-out, the client-bound policy of
+// sync::Egress when no aggregation interval is set: which attached viewers
+// should receive an update for a given entity right now, at which tier
+// rate. Viewers are indexed in a sync::InterestGrid, so the per-update
 // question "which viewers are in replication range" is a spatial query into
 // a caller-owned scratch buffer instead of a linear scan — allocation-free
 // in steady state via due_targets_into.
@@ -12,9 +12,10 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/time.hpp"
 #include "sync/interest.hpp"
 
-namespace mvc::cloud {
+namespace mvc::sync {
 
 struct Viewer {
     net::NodeId node{net::kInvalidNode};
@@ -24,25 +25,26 @@ struct Viewer {
 
 class InterestFanout {
 public:
-    explicit InterestFanout(sync::InterestPolicy policy = {}, bool enabled = true);
-
-    void set_enabled(bool enabled) { enabled_ = enabled; }
-    [[nodiscard]] bool enabled() const { return enabled_; }
+    explicit InterestFanout(InterestPolicy policy = {}, bool enabled = true);
 
     void upsert_entity(ParticipantId entity, const math::Vec3& position);
     void remove_entity(ParticipantId entity);
-    [[nodiscard]] const math::Vec3* entity_position(ParticipantId entity) const;
+    /// Tracked position of `entity`, or the origin when untracked.
+    [[nodiscard]] math::Vec3 entity_position(ParticipantId entity) const;
 
     void add_viewer(const Viewer& viewer);
     void remove_viewer(net::NodeId node);
+    void clear_viewers();
     [[nodiscard]] std::size_t viewer_count() const { return viewers_.size(); }
 
-    /// Viewers due to receive an update of `entity` at time `now`, written
-    /// into `out` (cleared first) in ascending node order; advances their
-    /// per-pair rate clocks. When interest management is disabled every
-    /// viewer (except the entity itself) is always due — the E4 baseline.
-    void due_targets_into(ParticipantId entity, sim::Time now,
+    /// Viewers due to receive an update of `entity`, standing at
+    /// `position`, at time `now`, written into `out` (cleared first) in
+    /// ascending node order; advances their per-pair rate clocks. When
+    /// interest management is disabled every viewer (except the entity
+    /// itself) is always due — the E4 baseline.
+    void due_targets_into(ParticipantId entity, const math::Vec3& position, sim::Time now,
                           std::vector<net::NodeId>& out);
+    /// Allocating form, at the entity's tracked position.
     [[nodiscard]] std::vector<net::NodeId> due_targets(ParticipantId entity,
                                                        sim::Time now);
 
@@ -50,12 +52,12 @@ public:
     [[nodiscard]] std::uint64_t suppressed_by_rate() const { return suppressed_rate_; }
 
 private:
-    sync::InterestPolicy policy_;
+    InterestPolicy policy_;
     bool enabled_;
     std::unordered_map<ParticipantId, math::Vec3> entities_;
     std::vector<Viewer> viewers_;  // sorted by node id
     /// Spatial index over viewer positions, keyed by EntityId{node}.
-    sync::InterestGrid viewer_grid_;
+    InterestGrid viewer_grid_;
     std::vector<EntityId> scratch_;
     /// (viewer node, entity) -> next time an update is due.
     std::unordered_map<std::uint64_t, sim::Time> next_due_;
@@ -68,4 +70,4 @@ private:
     [[nodiscard]] std::vector<Viewer>::iterator viewer_at(net::NodeId node);
 };
 
-}  // namespace mvc::cloud
+}  // namespace mvc::sync

@@ -23,7 +23,7 @@
 // result always equals the exact per-entity scan. The hits are then put in
 // id order by an LSD byte radix sort that skips bytes constant across the
 // result; below kRadixCutoff ids (the few-entry viewer grids of
-// cloud::InterestFanout) std::sort is cheaper and is used instead.
+// sync::InterestFanout) std::sort is cheaper and is used instead.
 
 #include <compare>
 #include <cstdint>

@@ -517,7 +517,7 @@ TEST(CampusWorldTest, AggregatedEgressIsByteIdenticalAcrossThreadCounts) {
 TEST(CampusWorldTest, AggregationShipsFewerBytesThanFanout) {
     CampusConfig aggregated = small_campus();
     CampusConfig fanout = small_campus();
-    fanout.aggregate = false;
+    fanout.aggregate_interval = sim::Time::zero();
 
     CampusWorld agg_world{aggregated};
     agg_world.run_until(sim::Time::seconds(0.5));
@@ -530,6 +530,21 @@ TEST(CampusWorldTest, AggregationShipsFewerBytesThanFanout) {
     // Both modes deliver the same avatars to the same viewers.
     EXPECT_GT(agg_world.viewer_updates(), 0u);
     EXPECT_GT(fan_world.viewer_updates(), 0u);
+}
+
+TEST(CampusWorldTest, FanoutEgressFiguresArePinned) {
+    // Per-update fan-out egress of the small campus, pinned to exact figures
+    // so any rework of the egress path has to reproduce them bit for bit.
+    CampusConfig fanout = small_campus();
+    fanout.aggregate_interval = sim::Time::zero();
+    CampusWorld world{fanout};
+    world.run_until(sim::Time::seconds(0.5));
+    EXPECT_EQ(world.egress_bytes(), 94041u);
+    EXPECT_EQ(world.viewer_updates(), 1059u);
+    EXPECT_EQ(world.updates_shipped(), 1161u);
+    EXPECT_EQ(world.suppressed_by_aoi(), 0u);
+    EXPECT_EQ(world.suppressed_by_rate(), 6u);
+    EXPECT_EQ(world.state_digest(), 4775173913121082228u);
 }
 
 TEST(CampusWorldTest, MirrorReachesOriginAcrossShards) {

@@ -4,11 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "cloud/cloud_server.hpp"
 #include "cloud/relay.hpp"
 #include "cloud/vr_client.hpp"
 #include "cloud/vr_layout.hpp"
+#include "sync/fanout.hpp"
 
 namespace mvc::cloud {
 namespace {
@@ -61,6 +67,8 @@ TEST(VrLayoutTest, InvalidParamsThrow) {
 }
 
 // ------------------------------------------------------------ InterestFanout
+
+using sync::InterestFanout;
 
 TEST(FanoutTest, DisabledSendsToEveryoneExceptSelf) {
     sim::Simulator sim;
@@ -290,6 +298,86 @@ TEST_F(MeshFixture, RelayEgressCounted) {
     auto c2 = make_mesh_client(2, net::Region::Boston);
     sim.run_until(sim::Time::seconds(2));
     EXPECT_GT(mesh.total_relay_egress(), 0u);
+}
+
+// ------------------------------------------------- RelayServer aggregation
+
+/// One relay with client egress aggregation on, fed by a sender node that
+/// streams one participant's updates; two viewer nodes record every batch.
+struct RelayAggregationFixture : ::testing::Test {
+    sim::Simulator sim{83};
+    net::Network net{sim};
+    net::NodeId relay_node = net.add_node("relay", net::Region::HongKong);
+    net::NodeId sender = net.add_node("sender", net::Region::HongKong);
+    net::NodeId a = net.add_node("viewer-a", net::Region::HongKong);
+    net::NodeId b = net.add_node("viewer-b", net::Region::HongKong);
+    std::unique_ptr<RelayServer> relay;
+    std::vector<std::unique_ptr<net::PacketDemux>> demuxes;
+    /// (participant, seq) of every update each viewer received, in order.
+    std::map<net::NodeId, std::vector<std::pair<std::uint32_t, std::uint32_t>>> got;
+    std::map<net::NodeId, std::uint64_t> batches;
+    std::uint64_t single_packets{0};
+
+    void SetUp() override {
+        for (const net::NodeId n : {sender, a, b})
+            net.connect(n, relay_node, net::LinkParams{.latency = sim::Time::ms(1)});
+        RelayConfig rc;
+        rc.aggregate_interval = sim::Time::ms(50);
+        relay = std::make_unique<RelayServer>(net, relay_node, rc);
+        relay->upsert_entity(ParticipantId{99}, {1, 0, 1});
+        for (const net::NodeId node : {a, b}) {
+            demuxes.push_back(std::make_unique<net::PacketDemux>(net, node));
+            demuxes.back()->on_flow(std::string{sync::kAvatarBatchFlow},
+                                    [this, node](net::Packet&& p) {
+                                        ++batches[node];
+                                        for (const sync::AvatarWire& w :
+                                             p.payload.take<sync::AvatarBatchWire>().updates)
+                                            got[node].emplace_back(w.participant.value(),
+                                                                   w.seq);
+                                    });
+            demuxes.back()->on_flow(std::string{sync::kAvatarFlow},
+                                    [this](net::Packet&&) { ++single_packets; });
+        }
+        // Participant 99 publishes at 50 Hz through the relay.
+        auto tx = std::make_shared<net::Channel>(
+            net.open_channel({.src = sender, .flow = std::string{sync::kAvatarFlow}}));
+        auto seq = std::make_shared<std::uint32_t>(0);
+        sim.schedule_every(sim::Time::ms(20), [this, tx, seq] {
+            sync::AvatarWire w{ParticipantId{99}, ClassroomId{1}, false,
+                               std::vector<std::uint8_t>(12, 7), sim.now(), {}};
+            w.seq = ++*seq;
+            tx->send_to(relay_node, w.wire_bytes(), std::move(w));
+        });
+    }
+};
+
+TEST_F(RelayAggregationFixture, DetachedViewerStopsAndReattachRegistersOnce) {
+    relay->attach_client(a, ParticipantId{1}, {0, 0, 0});
+    relay->attach_client(b, ParticipantId{2}, {2, 0, 0});
+    sim.run_until(sim::Time::seconds(0.5));
+    EXPECT_GT(batches[a], 0u);
+    EXPECT_GT(batches[b], 0u);
+    EXPECT_EQ(single_packets, 0u);  // aggregated egress only
+
+    relay->detach_client(b);
+    sim.run_until(sim::Time::seconds(0.51));  // drain batches already in flight
+    const std::size_t b_before = got[b].size();
+    const std::uint64_t a_before = batches[a];
+    sim.run_until(sim::Time::seconds(1.0));
+    EXPECT_EQ(got[b].size(), b_before) << "detached viewer still receives";
+    EXPECT_GT(batches[a], a_before);
+
+    // Re-attach (twice, at a new position): still one registration per viewer.
+    relay->attach_client(b, ParticipantId{2}, {4, 0, 0});
+    relay->attach_client(b, ParticipantId{2}, {4, 0, 0});
+    ASSERT_NE(relay->egress().aggregator(), nullptr);
+    EXPECT_EQ(relay->egress().aggregator()->viewer_count(), 2u);
+    EXPECT_EQ(relay->client_count(), 2u);
+    sim.run_until(sim::Time::seconds(1.5));
+    ASSERT_GT(got[b].size(), b_before);
+    const std::set<std::pair<std::uint32_t, std::uint32_t>> unique(
+        got[b].begin() + static_cast<std::ptrdiff_t>(b_before), got[b].end());
+    EXPECT_EQ(unique.size(), got[b].size() - b_before) << "update delivered twice";
 }
 
 }  // namespace

@@ -132,6 +132,19 @@ TEST(SpecParseTest, FieldErrorsCarryPaths) {
         EXPECT_NE(std::string{e.what()}.find("timeline[0]"), std::string::npos)
             << e.what();
     }
+    // An aggregating pooled campus needs a flush interval (zero would mean
+    // per-update fan-out, which is "aggregate": false).
+    try {
+        (void)scenario_from_text(
+            R"({"scenario_version": 1, "world": "campus",
+                "campus": {"pooled": {"buildings": 1, "aggregate": true,
+                                      "aggregate_ms": 0}}})");
+        FAIL() << "aggregating campus without an interval accepted";
+    } catch (const SpecError& e) {
+        EXPECT_NE(std::string{e.what()}.find("campus.pooled.aggregate_ms"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SpecParseTest, WorldBackendCrossChecks) {

@@ -12,8 +12,9 @@
 #   tools/ci.sh --sanitize # sanitize preset only
 #   tools/ci.sh --tsan     # tsan preset only
 #   tools/ci.sh --perf     # profile preset + E17 allocation budget smoke
-#   tools/ci.sh --replay   # record a short run, fail on trace-verify error
-#                          # or replay divergence, then the E18 quick bench
+#   tools/ci.sh --replay   # record a short run, fail on trace-verify or
+#                          # dump error or replay divergence, then the E18
+#                          # quick bench
 #   tools/ci.sh --realnet  # realnet, avatar-codec and decoder-fuzz unit
 #                          # tests under ASan+UBSan, the E19 loopback bench
 #                          # (wire rate + record->replay divergence gate),
@@ -30,10 +31,11 @@
 #                          # congested-lecture scenario SLO gates, then the
 #                          # E23 priority-trade + clean-control + determinism
 #                          # gate in quick mode
-#   tools/ci.sh --campus   # campus/pool/aggregator unit tests under
-#                          # ASan+UBSan, then the E22 campus sweep in quick
-#                          # mode (events/sec + bytes/avatar SLO gates,
-#                          # thread-count determinism, BENCH_e22.json)
+#   tools/ci.sh --campus   # campus/pool/aggregator and cloud/relay egress
+#                          # unit tests under ASan+UBSan, then the E22
+#                          # campus sweep in quick mode (events/sec +
+#                          # bytes/avatar SLO gates, thread-count
+#                          # determinism, BENCH_e22.json)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -95,6 +97,8 @@ replay_stage() {
   ./build/tools/metaclass_trace record "$trace" --duration 8
   echo "==> [replay] trace integrity"
   ./build/tools/metaclass_trace verify "$trace"
+  echo "==> [replay] dump the first records"
+  ./build/tools/metaclass_trace dump "$trace" --limit 200 >/dev/null
   echo "==> [replay] re-run from the recorded seed, diff state hashes"
   ./build/tools/metaclass_trace check "$trace"
   echo "==> [replay] E18 record/replay budget smoke (quick mode)"
@@ -195,10 +199,11 @@ qoe_stage() {
 campus_stage() {
   echo "==> [sanitize] configure"
   cmake --preset sanitize
-  echo "==> [sanitize] build campus_test"
-  cmake --build --preset sanitize -j "$jobs" --target campus_test
-  echo "==> [campus] pool/grid/aggregator unit tests under ASan+UBSan"
+  echo "==> [sanitize] build campus_test + cloud_test"
+  cmake --build --preset sanitize -j "$jobs" --target campus_test --target cloud_test
+  echo "==> [campus] pool/grid/aggregator/egress unit tests under ASan+UBSan"
   ./build-sanitize/tests/campus_test
+  ./build-sanitize/tests/cloud_test
   echo "==> [default] configure"
   cmake --preset default
   echo "==> [default] build bench_e22_campus"
